@@ -12,7 +12,9 @@ and never reappears downstream. From the effective gains we build
   matrix),
 * ``B[l] = F + outer(v, e_l) / cap_l``: per-user constraint matrices whose
   scaled radii characterize the image of the cap box under the SIR map,
-* ``gamma_bar = caps / v``: componentwise SIR ceiling.
+* ``gamma_bar = caps / v``: componentwise SIR ceiling,
+* ``radii``: the constraint radii ``rho(B[l])``, computed on first use and
+  cached with the rest.
 
 The SIR map is ``sir(p) = p / (F p + v)``; its inverse on the region
 ``{sir >= 0 : rho(diag(sir) F) < 1}`` is
@@ -22,6 +24,7 @@ Powers are linear (not dB) throughout; rates are in nats.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
+from .spectral import _checked, _frozen
 from .exceptions import DegenerateInputError, InfeasibleSirError
 
 __all__ = [
@@ -48,38 +52,54 @@ __all__ = [
     "stack_multitone",
 ]
 
-
-def _vector(x, n, name, *, positive=True) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ValueError(f"{name} must have length {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite")
-    if positive and np.any(x <= 0):
-        raise ValueError(f"{name} must be entrywise positive")
-    return x
+REGION_INSIDE_TOL = 1e-9
+REGION_ACTIVE_TOL = 1e-8
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+class _Channel:
+    """Validation shared by the single- and multi-tone instances.
 
+    Gains are ``(users, users)``, or ``(tones, users, users)`` when the class
+    sets ``_TONE_AXIS``; noise has the shape of gains without its last axis.
+    """
 
-def _probability_weights(w, n) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have length {n}, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be nonnegative and finite")
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to one (got {total!r})")
-    return w / total
+    _TONE_AXIS = False
+
+    def __post_init__(self):
+        gains = np.asarray(self.gains, dtype=float)
+        per_tone = gains if self._TONE_AXIS else gains[None]
+        if per_tone.ndim != 3 or per_tone.shape[1] != per_tone.shape[2]:
+            axes = "(tones, users, users)" if self._TONE_AXIS else "(users, users)"
+            raise ValueError(f"gains must have shape {axes}, got {gains.shape}")
+        K, n = per_tone.shape[:2]
+        if K < 1:
+            raise ValueError("need at least one tone")
+        if n < 2:
+            raise ValueError("an interference channel needs at least two users")
+        gains = _checked(gains, gains.shape, "gains")
+        noise = _checked(self.noise, gains.shape[:-1], "noise")
+        caps = _checked(self.caps, (n,), "caps")
+        weights = _checked(self.weights, (n,), "weights", positive=False)
+        total = weights.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to one (got {total!r})")
+        gap = float(self.snr_gap)
+        if not np.isfinite(gap) or gap < 1.0:
+            raise ValueError("snr_gap must be >= 1")
+        weights = weights / total
+        for name, value in (
+            ("gains", gains), ("noise", noise), ("caps", caps), ("weights", weights)
+        ):
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "snr_gap", gap)
+
+    @property
+    def users(self) -> int:
+        return self.caps.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelInstance:
+class ChannelInstance(_Channel):
     """Single-carrier interference channel (immutable after construction)."""
 
     gains: np.ndarray
@@ -87,30 +107,6 @@ class ChannelInstance:
     caps: np.ndarray
     weights: np.ndarray
     snr_gap: float = 1.0
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-            raise ValueError(f"gains must be square, got shape {gains.shape}")
-        n = gains.shape[0]
-        if n < 2:
-            raise ValueError("an interference channel needs at least two users")
-        if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
-            raise ValueError("gains must be entrywise positive and finite")
-        object.__setattr__(self, "gains", _frozen(gains))
-        object.__setattr__(self, "noise", _frozen(_vector(self.noise, n, "noise")))
-        object.__setattr__(self, "caps", _frozen(_vector(self.caps, n, "caps")))
-        object.__setattr__(
-            self, "weights", _frozen(_probability_weights(self.weights, n))
-        )
-        gap = float(self.snr_gap)
-        if not np.isfinite(gap) or gap < 1.0:
-            raise ValueError("snr_gap must be >= 1")
-        object.__setattr__(self, "snr_gap", gap)
-
-    @property
-    def users(self) -> int:
-        return self.gains.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +119,49 @@ class DerivedMatrices:
     B: tuple
     gamma_bar: np.ndarray
 
+    @functools.cached_property
+    def radii(self) -> np.ndarray:
+        """Constraint radii ``rho(B[l])``, computed on first use."""
+        return _frozen([spectral.spectral_radius(B_l) for B_l in self.B])
+
+    @property
+    def max_radius(self) -> float:
+        """``R = max_l rho(B[l])``, which anchors the sandwich bound."""
+        return float(self.radii.max())
+
 
 _DERIVED_CACHE: "weakref.WeakKeyDictionary[ChannelInstance, DerivedMatrices]"
 _DERIVED_CACHE = weakref.WeakKeyDictionary()
 
 
-def _tone_matrices(gains, noise, gap):
-    """Normalized (F, v) for one tone, with the SNR gap absorbed into g_ll."""
-    direct = np.diag(gains) / gap
-    F = gains / direct[:, None]
-    np.fill_diagonal(F, 0.0)
-    v = noise / direct
-    return F, v
+def _stacked_matrices(gains, noise, caps, gap, interference=None):
+    """``(F, v, B, gamma_bar)`` for ``(K, L, L)`` gains and ``(K, L)`` noise.
+
+    Slot order is user-major: slot ``l*K + k`` carries user l on tone k, and
+    the SNR gap is absorbed into each direct gain. ``interference``, when
+    given, replaces the stacked ``F`` before ``B`` is formed. ``B[l]`` adds
+    user l's noise terms over its K slots; one tone is the single-carrier
+    case.
+    """
+    K, L = noise.shape
+    KL = K * L
+    F = np.zeros((KL, KL))
+    v = np.zeros(KL)
+    for k in range(K):
+        slots = np.arange(L) * K + k
+        direct = np.diag(gains[k]) / gap
+        F_k = gains[k] / direct[:, None]
+        np.fill_diagonal(F_k, 0.0)
+        F[np.ix_(slots, slots)] = F_k
+        v[slots] = noise[k] / direct
+    if interference is not None:
+        F = interference
+    B = []
+    for l in range(L):
+        indicator = np.zeros(KL)
+        indicator[l * K : (l + 1) * K] = 1.0
+        B.append(_frozen(F + np.outer(v, indicator) / caps[l]))
+    return _frozen(F), _frozen(v), tuple(B), _frozen(np.repeat(caps, K) / v)
 
 
 def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
@@ -142,19 +169,11 @@ def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
     cached = _DERIVED_CACHE.get(inst)
     if cached is not None:
         return cached
-    F, v = _tone_matrices(inst.gains, inst.noise, inst.snr_gap)
-    F_tilde = F + np.diag(v / inst.caps)
-    B = tuple(
-        _frozen(F + np.outer(v, np.eye(inst.users)[l]) / inst.caps[l])
-        for l in range(inst.users)
+    F, v, B, gamma_bar = _stacked_matrices(
+        inst.gains[None], inst.noise[None], inst.caps, inst.snr_gap
     )
-    derived = DerivedMatrices(
-        F=_frozen(F),
-        v=_frozen(v),
-        F_tilde=_frozen(F_tilde),
-        B=B,
-        gamma_bar=_frozen(inst.caps / v),
-    )
+    F_tilde = _frozen(F + np.diag(v / inst.caps))
+    derived = DerivedMatrices(F=F, v=v, F_tilde=F_tilde, B=B, gamma_bar=gamma_bar)
     _DERIVED_CACHE[inst] = derived
     return derived
 
@@ -162,9 +181,7 @@ def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
 def sir_of_power(inst: ChannelInstance, p, *, check_region=True) -> np.ndarray:
     """SIR vector ``p / (F p + v)`` for a nonnegative power vector."""
     der = derive_matrices(inst)
-    p = _vector(p, inst.users, "p", positive=False)
-    if np.any(p < 0):
-        raise ValueError("p must be entrywise nonnegative")
+    p = _checked(p, (inst.users,), "p", positive=False)
     gamma = p / (der.F @ p + der.v)
     if check_region:
         rho = spectral.spectral_radius(gamma[:, None] * der.F)
@@ -184,9 +201,7 @@ def power_of_sir(inst: ChannelInstance, gamma) -> np.ndarray:
     ``rho(diag(gamma) F) >= 1``, i.e. the target is outside the region.
     """
     der = derive_matrices(inst)
-    gamma = _vector(gamma, inst.users, "gamma", positive=False)
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be entrywise nonnegative")
+    gamma = _checked(gamma, (inst.users,), "gamma", positive=False)
     rho = spectral.spectral_radius(gamma[:, None] * der.F)
     if rho >= 1.0:
         raise InfeasibleSirError(
@@ -203,24 +218,23 @@ class RegionCheck(NamedTuple):
     radii: np.ndarray
 
 
-def in_achievable_region(
-    inst: ChannelInstance, gamma, *, inside_tol=1e-9, active_tol=1e-8
-) -> RegionCheck:
+def in_achievable_region(inst: ChannelInstance, gamma) -> RegionCheck:
     """Membership test for the image of the cap box under the SIR map.
 
     ``gamma`` is achievable with powers in ``[0, caps]`` iff
     ``rho(diag(gamma) B[l]) <= 1`` for every user l; the radius equals one
-    exactly at the users whose cap binds.
+    exactly at the users whose cap binds. ``inside`` allows radii up to
+    ``1 + REGION_INSIDE_TOL``; ``active`` lists the users whose radius is
+    within ``REGION_ACTIVE_TOL`` of one.
     """
     der = derive_matrices(inst)
-    gamma = _vector(gamma, inst.users, "gamma", positive=False)
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be entrywise nonnegative")
+    gamma = _checked(gamma, (inst.users,), "gamma", positive=False)
     radii = np.array(
         [spectral.spectral_radius(gamma[:, None] * B_l) for B_l in der.B]
     )
-    inside = bool(np.all(radii <= 1.0 + inside_tol))
-    active = tuple(int(l) for l in np.flatnonzero(np.abs(radii - 1.0) <= active_tol))
+    inside = bool(np.all(radii <= 1.0 + REGION_INSIDE_TOL))
+    binding = np.abs(radii - 1.0) <= REGION_ACTIVE_TOL
+    active = tuple(int(l) for l in np.flatnonzero(binding))
     return RegionCheck(inside=inside, active=active, radii=radii)
 
 
@@ -232,9 +246,7 @@ def noiseless_sir(inst: ChannelInstance, p) -> np.ndarray:
     an interference denominator vanishes.
     """
     der = derive_matrices(inst)
-    p = _vector(p, inst.users, "p", positive=False)
-    if np.any(p < 0):
-        raise ValueError("p must be entrywise nonnegative")
+    p = _checked(p, (inst.users,), "p", positive=False)
     if np.count_nonzero(p) < 2:
         raise DegenerateInputError(
             "noiseless SIR needs at least two active users (interference "
@@ -276,9 +288,7 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
     ``J(p)^T (w / (1 + sir))``.
     """
     der = derive_matrices(inst)
-    p = _vector(p, inst.users, "p", positive=False)
-    if np.any(p < 0):
-        raise ValueError("p must be entrywise nonnegative")
+    p = _checked(p, (inst.users,), "p", positive=False)
     denom = der.F @ p + der.v
     gamma = p / denom
     jac = (np.eye(inst.users) - gamma[:, None] * der.F) / denom[:, None]
@@ -286,51 +296,20 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MultiToneInstance:
+class MultiToneInstance(_Channel):
     """Synchronous multi-tone channel: per-tone gains/noise, per-user budget.
 
     Per-slot weights are ``w_l / K`` so the stacked weight vector stays a
     probability vector over all K*L slots.
     """
 
+    _TONE_AXIS = True
+
     gains: np.ndarray  # (K, L, L)
     noise: np.ndarray  # (K, L)
     caps: np.ndarray  # (L,)
     weights: np.ndarray  # (L,)
     snr_gap: float = 1.0
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 3 or gains.shape[1] != gains.shape[2]:
-            raise ValueError(
-                f"gains must have shape (tones, users, users), got {gains.shape}"
-            )
-        K, L = gains.shape[0], gains.shape[1]
-        if K < 1:
-            raise ValueError("need at least one tone")
-        if L < 2:
-            raise ValueError("an interference channel needs at least two users")
-        if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
-            raise ValueError("gains must be entrywise positive and finite")
-        noise = np.asarray(self.noise, dtype=float)
-        if noise.shape != (K, L):
-            raise ValueError(f"noise must have shape ({K}, {L}), got {noise.shape}")
-        if not np.all(np.isfinite(noise)) or np.any(noise <= 0):
-            raise ValueError("noise must be entrywise positive and finite")
-        object.__setattr__(self, "gains", _frozen(gains))
-        object.__setattr__(self, "noise", _frozen(noise))
-        object.__setattr__(self, "caps", _frozen(_vector(self.caps, L, "caps")))
-        object.__setattr__(
-            self, "weights", _frozen(_probability_weights(self.weights, L))
-        )
-        gap = float(self.snr_gap)
-        if not np.isfinite(gap) or gap < 1.0:
-            raise ValueError("snr_gap must be >= 1")
-        object.__setattr__(self, "snr_gap", gap)
-
-    @property
-    def users(self) -> int:
-        return self.gains.shape[1]
 
     @property
     def tones(self) -> int:
@@ -367,40 +346,22 @@ def stack_multitone(mt: MultiToneInstance, interference=None) -> StackedMultiTon
     matrices are formed.
     """
     L, K = mt.users, mt.tones
-    KL = K * L
-    F = np.zeros((KL, KL))
-    v = np.zeros(KL)
-    for k in range(K):
-        slots = np.arange(L) * K + k
-        F_k, v_k = _tone_matrices(mt.gains[k], mt.noise[k], mt.snr_gap)
-        F[np.ix_(slots, slots)] = F_k
-        v[slots] = v_k
     if interference is not None:
-        override = np.asarray(interference, dtype=float)
-        if override.shape != (KL, KL):
-            raise ValueError(
-                f"interference override must have shape ({KL}, {KL}), "
-                f"got {override.shape}"
-            )
-        if not np.all(np.isfinite(override)) or np.any(override < 0):
-            raise ValueError("interference override must be nonnegative and finite")
-        if np.any(np.diag(override) != 0):
+        interference = _checked(
+            interference, (K * L, K * L), "interference override", positive=False
+        )
+        if np.any(np.diag(interference) != 0):
             raise ValueError("interference override must have a zero diagonal")
-        F = override.copy()
-    weights = np.repeat(mt.weights / K, K)
-    caps_per_slot = np.repeat(mt.caps, K)
-    B = []
-    for l in range(L):
-        indicator = np.zeros(KL)
-        indicator[l * K : (l + 1) * K] = 1.0
-        B.append(_frozen(F + np.outer(v, indicator) / mt.caps[l]))
+    F, v, B, gamma_bar = _stacked_matrices(
+        mt.gains, mt.noise, mt.caps, mt.snr_gap, interference
+    )
     return StackedMultiTone(
         users=L,
         tones=K,
-        F=_frozen(F),
-        v=_frozen(v),
-        weights=_frozen(weights),
-        caps=_frozen(mt.caps),
-        B=tuple(B),
-        gamma_bar=_frozen(caps_per_slot / v),
+        F=F,
+        v=v,
+        weights=_frozen(np.repeat(mt.weights / K, K)),
+        caps=mt.caps,
+        B=B,
+        gamma_bar=gamma_bar,
     )

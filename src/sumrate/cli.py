@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Commands write canonical JSON reports to stdout (or ``--out``). Exit codes:
-0 success, 1 usage or schema errors, 2 infeasibility (majorization or SIR
-region violations).
+0 success, 1 usage, schema or file errors, 2 infeasibility (majorization or
+SIR region violations).
 """
 from __future__ import annotations
 
@@ -302,10 +302,7 @@ def main(argv=None) -> int:
     except (InfeasibleWeightError, InfeasibleSirError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SumrateError as exc:
+    except (SumrateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

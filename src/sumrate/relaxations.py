@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel, spectral
+from .spectral import _freeze
 from .exceptions import ConvergenceError, InfeasibleSirError
 
 __all__ = [
@@ -66,10 +67,9 @@ class BoundsReport:
 
 def objective_bounds(inst: channel.ChannelInstance) -> BoundsReport:
     der = channel.derive_matrices(inst)
-    radius = max(spectral.spectral_radius(B_l) for B_l in der.B)
-    uniform = np.full(inst.users, 1.0 / radius)
+    uniform = np.full(inst.users, 1.0 / der.max_radius)
     return BoundsReport(
-        max_radius=float(radius),
+        max_radius=der.max_radius,
         lower=channel.objective(inst.weights, uniform),
         upper=channel.objective(inst.weights, der.gamma_bar),
     )
@@ -77,7 +77,7 @@ def objective_bounds(inst: channel.ChannelInstance) -> BoundsReport:
 
 def uniform_sir_power(inst: channel.ChannelInstance) -> np.ndarray:
     """Power vector realizing the uniform-SIR lower-bound point."""
-    radius = objective_bounds(inst).max_radius
+    radius = channel.derive_matrices(inst).max_radius
     return channel.power_of_sir(inst, np.full(inst.users, 1.0 / radius))
 
 
@@ -88,10 +88,8 @@ def cap_eigenvector_power(inst: channel.ChannelInstance, t: float = 1.0) -> np.n
     determined by the bound itself, so the clamped vector is a heuristic
     starting point, not a certified optimizer.
     """
-    der = channel.derive_matrices(inst)
-    radii = [spectral.spectral_radius(B_l) for B_l in der.B]
-    i = int(np.argmax(radii))
-    x = spectral.perron_pair(der.B[i]).right
+    B_i = channel.derive_matrices(inst).B[default_cap_index(inst)]
+    x = spectral.perron_pair(B_i).right
     return np.clip(t * x, 0.0, inst.caps)
 
 
@@ -106,13 +104,7 @@ class RelaxedSolution:
     certified_global: bool
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma_star, dtype=float)
-        gamma.setflags(write=False)
-        object.__setattr__(self, "gamma_star", gamma)
-        if self.lifted_power is not None:
-            lift = np.asarray(self.lifted_power, dtype=float)
-            lift.setflags(write=False)
-            object.__setattr__(self, "lifted_power", lift)
+        _freeze(self, "gamma_star", "lifted_power")
 
 
 def _solve_relaxation(inst, weights, matrix) -> RelaxedSolution:
@@ -164,9 +156,7 @@ def relaxed_max_tilde(inst: channel.ChannelInstance, weights=None) -> RelaxedSol
 
 def default_cap_index(inst: channel.ChannelInstance) -> int:
     """Heuristic binding cap: the user with the largest constraint radius."""
-    der = channel.derive_matrices(inst)
-    radii = [spectral.spectral_radius(B_l) for B_l in der.B]
-    return int(np.argmax(radii))
+    return int(np.argmax(channel.derive_matrices(inst).radii))
 
 
 def relaxed_max_noiseless(

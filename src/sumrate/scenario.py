@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+VERIFY_TOL = 1e-10
 
 _SOLVER_KEYS = (
     "algorithm",
@@ -161,11 +162,18 @@ def _require(condition, fieldname, constraint):
         raise ScenarioError(f"{fieldname}: {constraint}")
 
 
-def _numeric_array(raw, fieldname, shape):
+def _numeric_array(raw, fieldname, shape, *, tone_axis=False):
+    """Finite float array of ``shape``; with ``tone_axis`` the leading tone
+    axis may be omitted when there is one tone."""
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{fieldname}: must be an array of numbers") from None
+    if tone_axis and arr.ndim == len(shape) - 1:
+        _require(
+            shape[0] == 1, fieldname, f"{arr.ndim}-D {fieldname} requires tones == 1"
+        )
+        arr = arr[None]
     _require(arr.shape == shape, fieldname, f"must have shape {shape}, got {arr.shape}")
     _require(bool(np.all(np.isfinite(arr))), fieldname, "must be finite")
     return arr
@@ -202,20 +210,12 @@ def parse_scenario(raw: dict) -> Scenario:
     _require("noise" in raw, "noise", "is required")
     _require("caps" in raw, "caps", "is required")
 
-    gains_raw = np.asarray(raw["gains"], dtype=float)
-    if gains_raw.ndim == 2:
-        _require(tones == 1, "gains", "2-D gains require tones == 1")
-        gains_raw = gains_raw[None, :, :]
-    gains = _numeric_array(gains_raw, "gains", (tones, users, users))
+    gains = _numeric_array(raw["gains"], "gains", (tones, users, users), tone_axis=True)
     if gains_unit == "db":
         gains = 10.0 ** (gains / 10.0)
     _require(bool(np.all(gains > 0)), "gains", "must be entrywise positive (linear)")
 
-    noise_raw = np.asarray(raw["noise"], dtype=float)
-    if noise_raw.ndim == 1:
-        _require(tones == 1, "noise", "1-D noise requires tones == 1")
-        noise_raw = noise_raw[None, :]
-    noise = _numeric_array(noise_raw, "noise", (tones, users))
+    noise = _numeric_array(raw["noise"], "noise", (tones, users), tone_axis=True)
     if noise_unit == "dbm":
         noise = 10.0 ** (noise / 10.0)
     _require(bool(np.all(noise > 0)), "noise", "must be entrywise positive (linear)")
@@ -235,11 +235,12 @@ def parse_scenario(raw: dict) -> Scenario:
 
     snr_gap = raw.get("snr_gap", 1.0)
     _require(
-        isinstance(snr_gap, (int, float)) and not isinstance(snr_gap, bool)
-        and float(snr_gap) >= 1.0,
+        isinstance(snr_gap, (int, float)) and not isinstance(snr_gap, bool),
         "snr_gap",
         "must be a number >= 1",
     )
+    snr_gap = float(_numeric_array(snr_gap, "snr_gap", ()))
+    _require(snr_gap >= 1.0, "snr_gap", "must be a number >= 1")
 
     solver = raw.get("solver", {})
     _require(isinstance(solver, dict), "solver", "must be an object")
@@ -253,7 +254,7 @@ def parse_scenario(raw: dict) -> Scenario:
         noise=noise,
         caps=caps,
         weights=weights,
-        snr_gap=float(snr_gap),
+        snr_gap=snr_gap,
         solver=dict(solver),
     )
 
@@ -264,6 +265,10 @@ def load_scenario(path) -> Scenario:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
+    except OSError as exc:
+        raise ScenarioError(
+            f"scenario file cannot be read: {path}: {exc.strerror}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
     return parse_scenario(raw)
@@ -330,9 +335,9 @@ def generate_instance(
     )
 
 
-def verify_report(scenario: Scenario, report: dict, *, tol=1e-10) -> None:
+def verify_report(scenario: Scenario, report: dict) -> None:
     """Recompute the stored objective and constraint radii from the stored
-    power and require agreement within ``tol``. Raises ScenarioError on
+    power and require agreement within ``VERIFY_TOL``. Raises ScenarioError on
     mismatch; reports are self-verifying by construction."""
     inst = scenario.to_instance()
     if not isinstance(inst, channel.ChannelInstance):
@@ -343,7 +348,7 @@ def verify_report(scenario: Scenario, report: dict, *, tol=1e-10) -> None:
     sir = channel.sir_of_power(inst, power)
     objective = channel.objective(inst.weights, sir)
     stored = float(report["objective_nats"])
-    if abs(objective - stored) > tol:
+    if abs(objective - stored) > VERIFY_TOL:
         raise ScenarioError(
             f"report: stored objective {stored!r} deviates from recomputation "
             f"{objective!r}"
@@ -352,6 +357,6 @@ def verify_report(scenario: Scenario, report: dict, *, tol=1e-10) -> None:
         radii = channel.in_achievable_region(inst, sir).radii
         stored_radii = np.asarray(report["radii"], dtype=float)
         if stored_radii.shape != radii.shape or np.any(
-            np.abs(stored_radii - radii) > tol
+            np.abs(stored_radii - radii) > VERIFY_TOL
         ):
             raise ScenarioError("report: stored constraint radii deviate")

@@ -13,16 +13,21 @@ import numpy as np
 
 __all__ = ["simplex_max", "SimplexError"]
 
+PIVOT_TOL = 1e-9
+MAX_PIVOTS = 10_000
+
 
 class SimplexError(RuntimeError):
     pass
 
 
-def simplex_max(c, A, b, *, tol=1e-9, max_pivots=10_000):
+def simplex_max(c, A, b):
     """Vertex maximizer of ``c @ x`` over ``{A x <= b, x >= 0}`` with ``b >= 0``.
 
-    Returns ``(x, value)``. Raises :class:`SimplexError` on an unbounded ray
-    (impossible when the feasible set is boxed) or pivot-budget exhaustion.
+    Returns ``(x, value)``. Reduced costs and ratio-test pivots count as
+    positive above ``PIVOT_TOL``. Raises :class:`SimplexError` on an unbounded
+    ray (impossible when the feasible set is boxed) or after ``MAX_PIVOTS``
+    pivots.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
@@ -38,7 +43,7 @@ def simplex_max(c, A, b, *, tol=1e-9, max_pivots=10_000):
     cost = np.concatenate([c, np.zeros(m)])
     basis = list(range(n, n + m))
 
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         B = full[:, basis]
         x_b = np.linalg.solve(B, b)
         pi = np.linalg.solve(B.T, cost[basis])
@@ -48,7 +53,7 @@ def simplex_max(c, A, b, *, tol=1e-9, max_pivots=10_000):
 
         entering = -1
         for j in range(n + m):
-            if not in_basis[j] and reduced[j] > tol:
+            if not in_basis[j] and reduced[j] > PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -57,7 +62,7 @@ def simplex_max(c, A, b, *, tol=1e-9, max_pivots=10_000):
             return x[:n], float(cost[basis] @ x_b)
 
         direction = np.linalg.solve(B, full[:, entering])
-        candidates = np.flatnonzero(direction > tol)
+        candidates = np.flatnonzero(direction > PIVOT_TOL)
         if candidates.size == 0:
             raise SimplexError("objective is unbounded over the feasible set")
         ratios = x_b[candidates] / direction[candidates]
@@ -67,4 +72,4 @@ def simplex_max(c, A, b, *, tol=1e-9, max_pivots=10_000):
         # Bland: among the tied rows leave the basic variable of lowest index
         leave_row = min(ties, key=lambda i: basis[i])
         basis[leave_row] = entering
-    raise SimplexError(f"pivot budget exhausted after {max_pivots} pivots")
+    raise SimplexError(f"pivot budget exhausted after {MAX_PIVOTS} pivots")

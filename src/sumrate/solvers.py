@@ -20,6 +20,7 @@ import numpy as np
 
 from . import channel, relaxations, spectral
 from .simplex import simplex_max
+from .spectral import _freeze
 
 __all__ = [
     "KktReport",
@@ -38,6 +39,11 @@ __all__ = [
 
 KKT_TOL = 1e-7
 BOUNDARY_TOL = 1e-9
+GRADIENT_MAX_ITERS = 500
+ARMIJO = 1e-4
+BACKTRACK_SHRINK = 0.5
+MIN_STEP = 1e-12
+LINEARIZED_MAX_STEPS = 100
 
 TERMINATIONS = ("kkt_satisfied", "max_iters", "lp_optimal", "projected", "stalled")
 
@@ -51,27 +57,28 @@ class KktReport(NamedTuple):
     gradient: np.ndarray
 
 
-def _boundary_masks(p, caps, boundary_tol):
-    at_zero = p <= boundary_tol
-    at_cap = caps - p <= boundary_tol
+def _boundary_masks(p, caps):
+    at_zero = p <= BOUNDARY_TOL
+    at_cap = caps - p <= BOUNDARY_TOL
     return at_zero, at_cap
 
 
-def kkt_classify(
-    inst: channel.ChannelInstance, p, *, tol=KKT_TOL, boundary_tol=BOUNDARY_TOL
-) -> KktReport:
+def kkt_classify(inst: channel.ChannelInstance, p, *, tol=KKT_TOL) -> KktReport:
     """First-order sign conditions for a local maximum on the cap box.
 
     The gradient must be >= -tol at capped coordinates, zero within tol at
     interior coordinates, and <= tol at zeroed coordinates; the residual is
-    the largest violation.
+    the largest violation. Coordinates within ``BOUNDARY_TOL`` of a bound
+    count as on it.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     caps = inst.caps
-    if p.shape != caps.shape or np.any(p < -boundary_tol) or np.any(p > caps + boundary_tol):
+    if p.shape != caps.shape or np.any(p < -BOUNDARY_TOL) or np.any(
+        p > caps + BOUNDARY_TOL
+    ):
         raise ValueError("p must lie in the cap box")
     grad = channel.objective_gradient_p(inst, np.clip(p, 0.0, caps))
-    at_zero, at_cap = _boundary_masks(p, caps, boundary_tol)
+    at_zero, at_cap = _boundary_masks(p, caps)
     s_max = tuple(int(i) for i in np.flatnonzero(at_cap))
     s_0 = tuple(int(i) for i in np.flatnonzero(at_zero & ~at_cap))
     s_in = tuple(int(i) for i in np.flatnonzero(~at_cap & ~at_zero))
@@ -113,17 +120,14 @@ class SolverReport:
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
-        for field in ("power", "sir"):
-            vec = np.asarray(getattr(self, field), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, field, vec)
+        _freeze(self, "power", "sir")
 
 
-def _report(inst, power, *, iterations, termination, lp_bound=None, kkt_tol=KKT_TOL,
-            boundary_tol=BOUNDARY_TOL) -> SolverReport:
+def _report(inst, power, *, iterations, termination, lp_bound=None,
+            kkt_tol=KKT_TOL) -> SolverReport:
     power = np.clip(np.asarray(power, dtype=float).reshape(-1), 0.0, inst.caps)
     sir = channel.sir_of_power(inst, power)
-    kkt = kkt_classify(inst, power, tol=kkt_tol, boundary_tol=boundary_tol)
+    kkt = kkt_classify(inst, power, tol=kkt_tol)
     return SolverReport(
         power=power,
         sir=sir,
@@ -152,12 +156,7 @@ def solve_gradient(
     inst: channel.ChannelInstance,
     p0=None,
     *,
-    max_iters=500,
     kkt_tol=KKT_TOL,
-    boundary_tol=BOUNDARY_TOL,
-    armijo=1e-4,
-    shrink=0.5,
-    min_step=1e-12,
     callback=None,
 ) -> SolverReport:
     """Projected gradient ascent on the cap box.
@@ -165,10 +164,12 @@ def solve_gradient(
     The ascent direction copies the gradient but zeroes coordinates that sit
     on a bound and point outward. Backtracking starts from the largest step
     that stays in the box and accepts on a sufficient-increase test, so the
-    objective strictly increases at every accepted step. Terminates at a
-    stationarity-classified point, on iteration budget, or with a stall when
-    no increasing step of at least ``min_step`` exists. ``callback(p, value)``
-    runs once at the start and after every accepted step.
+    objective strictly increases at every accepted step (Armijo factor
+    ``ARMIJO``, step shrink ``BACKTRACK_SHRINK``). Terminates at a
+    stationarity-classified point, after ``GRADIENT_MAX_ITERS`` iterations, or
+    with a stall when no increasing step of at least ``MIN_STEP`` exists.
+    ``callback(p, value)`` runs once at the start and after every accepted
+    step.
     """
     caps = inst.caps
     if p0 is None:
@@ -177,22 +178,22 @@ def solve_gradient(
         p = np.asarray(p0, dtype=float).reshape(-1).copy()
         if p.shape != caps.shape:
             raise ValueError(f"p0 must have length {inst.users}")
-        if np.any(p < -boundary_tol) or np.any(p > caps + boundary_tol):
+        if np.any(p < -BOUNDARY_TOL) or np.any(p > caps + BOUNDARY_TOL):
             raise ValueError("p0 must lie in the cap box")
         p = np.clip(p, 0.0, caps)
     phi = _phi(inst, p)
     if callback is not None:
         callback(p.copy(), phi)
     termination = "max_iters"
-    iterations = max_iters
-    for k in range(max_iters):
-        kkt = kkt_classify(inst, p, tol=kkt_tol, boundary_tol=boundary_tol)
+    iterations = GRADIENT_MAX_ITERS
+    for k in range(GRADIENT_MAX_ITERS):
+        kkt = kkt_classify(inst, p, tol=kkt_tol)
         if kkt.satisfied:
             termination = "kkt_satisfied"
             iterations = k
             break
         a = kkt.gradient
-        at_zero, at_cap = _boundary_masks(p, caps, boundary_tol)
+        at_zero, at_cap = _boundary_masks(p, caps)
         b = np.where(at_zero & (a < 0), 0.0, a)
         b = np.where(at_cap & (b > 0), 0.0, b)
         if not np.any(b != 0.0):
@@ -206,23 +207,22 @@ def solve_gradient(
         slope = float(a @ b)  # sum of squared gradient entries over free coords
         t = t_max
         accepted = False
-        while t >= min_step:
+        while t >= MIN_STEP:
             candidate = _snap(np.clip(p + t * b, 0.0, caps), caps)
             value = _phi(inst, candidate)
-            if value >= phi + armijo * t * slope:
+            if value >= phi + ARMIJO * t * slope:
                 p, phi = candidate, value
                 accepted = True
                 if callback is not None:
                     callback(p.copy(), phi)
                 break
-            t *= shrink
+            t *= BACKTRACK_SHRINK
         if not accepted:
             termination = "stalled"
             iterations = k
             break
     return _report(
-        inst, p, iterations=iterations, termination=termination,
-        kkt_tol=kkt_tol, boundary_tol=boundary_tol,
+        inst, p, iterations=iterations, termination=termination, kkt_tol=kkt_tol
     )
 
 
@@ -266,10 +266,7 @@ class Polytope:
     anchors: tuple
 
     def __post_init__(self):
-        for field in ("box_low", "box_high"):
-            vec = np.asarray(getattr(self, field), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, field, vec)
+        _freeze(self, "box_low", "box_high")
 
     @property
     def dim(self) -> int:
@@ -299,8 +296,7 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     """
     der = channel.derive_matrices(inst)
     n = inst.users
-    radius = max(spectral.spectral_radius(B_l) for B_l in der.B)
-    log_r = math.log(radius)
+    log_r = math.log(der.max_radius)
     if K is None:
         K = log_r + 10.0
     K = float(K)
@@ -337,7 +333,7 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     )
 
 
-def lp_solve(objective, polytope: Polytope, *, tol=1e-9):
+def lp_solve(objective, polytope: Polytope):
     """Exact vertex maximizer of a linear objective over the polytope.
 
     Returns ``(vertex, value)``. Deterministic under Bland's rule; with a
@@ -359,7 +355,7 @@ def lp_solve(objective, polytope: Polytope, *, tol=1e-9):
         b = width.copy()
     if np.any(b < -1e-9):
         raise RuntimeError("polytope construction bug: lower box corner infeasible")
-    x, _ = simplex_max(objective, A, np.maximum(b, 0.0), tol=tol)
+    x, _ = simplex_max(objective, A, np.maximum(b, 0.0))
     vertex = polytope.box_low + x
     return vertex, float(objective @ vertex)
 
@@ -404,9 +400,7 @@ def solve_linearized(
     polytope: Optional[Polytope] = None,
     xi0=None,
     *,
-    max_steps=100,
     kkt_tol=KKT_TOL,
-    boundary_tol=BOUNDARY_TOL,
 ) -> SolverReport:
     """Successive linearization over the supporting-hyperplane polytope.
 
@@ -444,7 +438,7 @@ def solve_linearized(
     visited = {xi.tobytes()}
     steps = 0
     termination = "max_iters"
-    for k in range(max_steps):
+    for k in range(LINEARIZED_MAX_STEPS):
         gamma_k = np.exp(xi)
         grad = w * gamma_k / (1.0 + gamma_k)
         nxt, value = lp_solve(grad, poly)
@@ -457,11 +451,11 @@ def solve_linearized(
         raw, clamped, in_region = _lift_to_box(inst, xi)
         if in_region and np.all(raw >= -1e-12) and np.all(raw <= inst.caps * (1 + 1e-12)):
             p_exact = _snap(np.clip(raw, 0.0, inst.caps), inst.caps)
-            kkt = kkt_classify(inst, p_exact, tol=kkt_tol, boundary_tol=boundary_tol)
+            kkt = kkt_classify(inst, p_exact, tol=kkt_tol)
             if kkt.satisfied:
                 return _report(
                     inst, p_exact, iterations=steps, termination="kkt_satisfied",
-                    lp_bound=bound, kkt_tol=kkt_tol, boundary_tol=boundary_tol,
+                    lp_bound=bound, kkt_tol=kkt_tol,
                 )
         consider(clamped)
         if xi.tobytes() in visited:
@@ -470,7 +464,7 @@ def solve_linearized(
         visited.add(xi.tobytes())
     return _report(
         inst, best_power, iterations=steps, termination=termination,
-        lp_bound=bound, kkt_tol=kkt_tol, boundary_tol=boundary_tol,
+        lp_bound=bound, kkt_tol=kkt_tol,
     )
 
 
@@ -479,7 +473,6 @@ def solve_lp_relax(
     polytope: Optional[Polytope] = None,
     *,
     kkt_tol=KKT_TOL,
-    boundary_tol=BOUNDARY_TOL,
 ) -> SolverReport:
     """One-shot LP relaxation: maximize ``w @ xi`` over the polytope.
 
@@ -502,7 +495,6 @@ def solve_lp_relax(
         termination="projected" if projected else "lp_optimal",
         lp_bound=float(lp_value),
         kkt_tol=kkt_tol,
-        boundary_tol=boundary_tol,
     )
 
 
@@ -516,9 +508,7 @@ class OracleResult:
     refined: bool
 
     def __post_init__(self):
-        vec = np.asarray(self.best_power, dtype=float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "best_power", vec)
+        _freeze(self, "best_power")
 
 
 def _phi_points(der, weights, points) -> np.ndarray:

@@ -47,6 +47,7 @@ SCALING_TOL = 1e-10
 SCALING_MAX_SWEEPS = 10_000
 MAJORIZATION_SLACK = 1e-12
 ANCHOR_TOL = 1e-8
+WEIGHT_VERIFY_TOL = 1e-7
 
 
 def _check_matrix(A, name="matrix") -> np.ndarray:
@@ -62,13 +63,34 @@ def _check_matrix(A, name="matrix") -> np.ndarray:
     return A
 
 
-def _check_positive_vector(x, n, name) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise ValueError(f"{name} must be entrywise positive and finite")
+def _checked(x, shape, name, *, positive=True) -> np.ndarray:
+    """``x`` as a finite float array of ``shape``, entrywise positive (or
+    nonnegative with ``positive=False``). A vector shape ``(n,)`` accepts any
+    input holding n entries."""
+    x = np.asarray(x, dtype=float)
+    if len(shape) == 1:
+        x = x.reshape(-1)
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0 if positive else x < 0):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be entrywise {sign} and finite")
     return x
+
+
+def _frozen(a) -> np.ndarray:
+    """Read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _freeze(obj, *fields) -> None:
+    """Replace array fields of a frozen dataclass by read-only copies."""
+    for field in fields:
+        value = getattr(obj, field)
+        if value is not None:
+            object.__setattr__(obj, field, _frozen(value))
 
 
 def is_irreducible(A) -> bool:
@@ -107,31 +129,29 @@ class PerronPair:
     left: np.ndarray
 
     def __post_init__(self):
-        for field in ("right", "left"):
-            vec = np.asarray(getattr(self, field), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, field, vec)
+        _freeze(self, "right", "left")
 
     def weights(self) -> np.ndarray:
         """Elementwise product ``right * left`` (a probability vector)."""
         return self.right * self.left
 
 
-def perron_pair(A, *, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> PerronPair:
+def perron_pair(A) -> PerronPair:
     """Dominant eigenpair of an irreducible nonnegative matrix.
 
     Power iteration on ``A + shift*I`` with the all-ones start vector. The
     shift (the max row sum) makes the iteration matrix primitive, so the
     iteration also converges for periodic patterns such as ``[[0,a],[b,0]]``
     where the plain iteration would oscillate. Convergence requires both the
-    Rayleigh quotient change and the eigen-residuals to fall below tolerance.
+    Rayleigh quotient change (relative, ``POWER_TOL``) and the eigen-residuals
+    to fall below tolerance.
 
     Raises
     ------
     ReducibleMatrixError
         If the positivity pattern is not strongly connected.
     ConvergenceError
-        If residuals are still above tolerance after ``max_iter`` steps.
+        If residuals are still above tolerance after ``POWER_MAX_ITER`` steps.
     """
     A = _check_matrix(A)
     if not is_irreducible(A):
@@ -149,12 +169,12 @@ def perron_pair(A, *, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> PerronPair:
     y = np.ones(n)
     rho_prev = math.inf
     rho = 0.0
-    for iteration in range(1, max_iter + 1):
+    for _ in range(POWER_MAX_ITER):
         Ax = A @ x
         Ay = AT @ y
         rho = float((y @ Ax) / (y @ x))
         res = max(np.max(np.abs(Ax - rho * x)), np.max(np.abs(Ay - rho * y)))
-        if res <= res_tol and abs(rho - rho_prev) <= tol * max(1.0, abs(rho)):
+        if res <= res_tol and abs(rho - rho_prev) <= POWER_TOL * max(1.0, abs(rho)):
             break
         rho_prev = rho
         x = Ax + shift * x
@@ -163,9 +183,9 @@ def perron_pair(A, *, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> PerronPair:
         y /= y.max()
     else:
         raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
+            f"power iteration did not converge in {POWER_MAX_ITER} iterations "
             f"(residual {res:.3e})",
-            iterations=max_iter,
+            iterations=POWER_MAX_ITER,
             residual=float(res),
         )
     x = x / x.max()
@@ -181,11 +201,7 @@ def fk_scaling_lower_bound(A, gamma) -> float:
     equality for constant positive ``gamma``.
     """
     A = _check_matrix(A)
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if gamma.shape != (A.shape[0],):
-        raise ValueError(f"gamma must have length {A.shape[0]}")
-    if not np.all(np.isfinite(gamma)) or np.any(gamma < 0):
-        raise ValueError("gamma must be entrywise nonnegative and finite")
+    gamma = _checked(gamma, (A.shape[0],), "gamma", positive=False)
     pair = perron_pair(A)
     if np.any(gamma == 0):
         return 0.0
@@ -201,7 +217,7 @@ def fk_z_upper_bound(A, z) -> float:
     documented sentinel in that case.
     """
     A = _check_matrix(A)
-    z = _check_positive_vector(z, A.shape[0], "z")
+    z = _checked(z, (A.shape[0],), "z")
     pair = perron_pair(A)
     Az = A @ z
     if np.any(Az <= 0):
@@ -221,20 +237,17 @@ class Hyperplane:
     anchor: np.ndarray
 
     def __post_init__(self):
-        for field in ("normal", "anchor"):
-            vec = np.asarray(getattr(self, field), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, field, vec)
+        _freeze(self, "normal", "anchor")
 
     def evaluate(self, xi) -> float:
         xi = np.asarray(xi, dtype=float).reshape(-1)
         return float(self.normal @ (xi - self.anchor))
 
 
-def supporting_hyperplane(B, eta, *, anchor_tol=ANCHOR_TOL) -> Hyperplane:
+def supporting_hyperplane(B, eta) -> Hyperplane:
     """Tangent hyperplane of the unit-radius level set at anchor ``eta``.
 
-    Requires ``rho(diag(exp(eta)) B)`` to equal one within ``anchor_tol``.
+    Requires ``rho(diag(exp(eta)) B)`` to equal one within ``ANCHOR_TOL``.
     The returned functional satisfies ``evaluate(xi) <= log rho(diag(exp(xi)) B)``
     for every ``xi``, with equality at the anchor.
     """
@@ -244,7 +257,7 @@ def supporting_hyperplane(B, eta, *, anchor_tol=ANCHOR_TOL) -> Hyperplane:
         raise ValueError(f"eta must have length {B.shape[0]}")
     scaled = np.exp(eta)[:, None] * B
     rho = spectral_radius(scaled)
-    if abs(rho - 1.0) > anchor_tol:
+    if abs(rho - 1.0) > ANCHOR_TOL:
         raise ValueError(
             f"anchor is not on the unit-radius level set: measured radius {rho!r}"
         )
@@ -260,10 +273,7 @@ class ScalingPair:
     d2: np.ndarray
 
     def __post_init__(self):
-        for field in ("d1", "d2"):
-            vec = np.asarray(getattr(self, field), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, field, vec)
+        _freeze(self, "d1", "d2")
 
 
 def _majorization_guard(zero_diag_indices, w):
@@ -291,20 +301,12 @@ def _majorization_guard(zero_diag_indices, w):
             )
 
 
-def diagonal_scaling(
-    A,
-    u,
-    v,
-    *,
-    tol=SCALING_TOL,
-    max_sweeps=SCALING_MAX_SWEEPS,
-    d2_init=None,
-) -> ScalingPair:
+def diagonal_scaling(A, u, v, *, d2_init=None) -> ScalingPair:
     """Find positive diagonals with ``D1 A D2 u = u`` and ``v^T D1 A D2 = v^T``.
 
     Alternating update: rescale rows to satisfy the right fixed-vector
     equation, then columns for the left one, until the infinity-norm
-    residuals drop below ``tol``. The matrix must be irreducible with either
+    residuals drop below ``SCALING_TOL``. The matrix must be irreducible with either
     a fully positive diagonal or fully positive off-diagonal part; in the
     latter case the normalized products ``u*v`` must satisfy the majorization
     condition at every zero-diagonal index.
@@ -313,8 +315,8 @@ def diagonal_scaling(
     """
     A = _check_matrix(A, "A")
     n = A.shape[0]
-    u = _check_positive_vector(u, n, "u")
-    v = _check_positive_vector(v, n, "v")
+    u = _checked(u, (n,), "u")
+    v = _checked(v, (n,), "v")
     if not is_irreducible(A):
         raise ReducibleMatrixError("diagonal scaling requires an irreducible matrix")
     diag = np.diag(A)
@@ -332,37 +334,29 @@ def diagonal_scaling(
     if d2_init is None:
         d2 = np.ones(n)
     else:
-        d2 = _check_positive_vector(d2_init, n, "d2_init").copy()
+        d2 = _checked(d2_init, (n,), "d2_init")
     d1 = np.ones(n)
     residual = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(SCALING_MAX_SWEEPS):
         d1 = u / (A @ (d2 * u))
         d2 = v / (A.T @ (d1 * v))
         r_right = np.max(np.abs(d1 * (A @ (d2 * u)) - u))
         r_left = np.max(np.abs(d2 * (A.T @ (d1 * v)) - v))
         residual = max(float(r_right), float(r_left))
-        if residual <= tol:
+        if residual <= SCALING_TOL:
             break
     else:
         raise ConvergenceError(
-            f"alternating scaling did not reach residual {tol:g} in "
-            f"{max_sweeps} sweeps (residual {residual:.3e})",
-            iterations=max_sweeps,
+            f"alternating scaling did not reach residual {SCALING_TOL:g} in "
+            f"{SCALING_MAX_SWEEPS} sweeps (residual {residual:.3e})",
+            iterations=SCALING_MAX_SWEEPS,
             residual=residual,
         )
     t = math.sqrt(float(d2.max()) / float(d1.max()))
     return ScalingPair(d1=d1 * t, d2=d2 / t)
 
 
-def inverse_weight(
-    B,
-    w,
-    *,
-    tol=SCALING_TOL,
-    max_sweeps=SCALING_MAX_SWEEPS,
-    d2_init=None,
-    verify_tol=1e-7,
-) -> np.ndarray:
+def inverse_weight(B, w, *, d2_init=None) -> np.ndarray:
     """Log-scaling ``eta`` whose scaled matrix has Perron products ``w``.
 
     Returns ``eta`` such that ``diag(exp(eta)) @ B`` has unit spectral radius
@@ -374,18 +368,16 @@ def inverse_weight(
     """
     B = _check_matrix(B, "B")
     n = B.shape[0]
-    w = _check_positive_vector(w, n, "w")
+    w = _checked(w, (n,), "w")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("w must sum to one")
     w = w / w.sum()
-    pair = diagonal_scaling(
-        B, np.ones(n), w, tol=tol, max_sweeps=max_sweeps, d2_init=d2_init
-    )
+    pair = diagonal_scaling(B, np.ones(n), w, d2_init=d2_init)
     eta = np.log(pair.d1 * pair.d2)
     eta -= math.log(spectral_radius(np.exp(eta)[:, None] * B))
     check = perron_pair(np.exp(eta)[:, None] * B)
     drift = float(np.max(np.abs(check.weights() - w)))
-    if drift > verify_tol:
+    if drift > WEIGHT_VERIFY_TOL:
         raise ConvergenceError(
             f"inverse weight verification failed: Perron products deviate by "
             f"{drift:.3e} from the prescribed weights",

@@ -133,6 +133,21 @@ def test_usage_errors_exit_1(e1_file, capsys):
                 "--algorithm", "gradient"]) == 1
 
 
+def test_unreadable_scenario_exits_1(tmp_path, capsys):
+    assert run(["bounds", "--scenario", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
+def test_unwritable_out_exits_1(e1_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["bounds", "--scenario", e1_file, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err
+
+
 def test_algorithm_from_scenario_solver_block(tmp_path, capsys):
     raw = json.loads(open(E1_PATH).read())
     raw["solver"] = {"algorithm": "gradient", "seed": 0, "multistart": 4,

@@ -36,6 +36,28 @@ class TestObjectiveBounds:
             atol=1e-12,
         )
 
+    def test_constraint_radii_computed_once_per_instance(self, monkeypatch):
+        inst = random_instance(5, users=3)
+        der = sr.derive_matrices(inst)
+        original = sr.spectral.spectral_radius
+        calls = []
+
+        def counting(A):
+            if any(A is B_l for B_l in der.B):
+                calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(sr.spectral, "spectral_radius", counting)
+        sr.relaxed_max_tilde(inst)
+        assert not calls  # the radii are computed lazily
+        sr.objective_bounds(inst)
+        sr.uniform_sir_power(inst)
+        sr.default_cap_index(inst)
+        sr.cap_eigenvector_power(inst)
+        sr.build_polytope(inst, grid=2)
+        assert len(calls) == inst.users
+        assert_allclose(der.radii, [original(B_l) for B_l in der.B], rtol=0, atol=0)
+
     def test_cap_eigenvector_candidate_is_feasible(self, e1):
         candidate = sr.cap_eigenvector_power(e1, t=5.0)
         assert np.all(candidate >= 0) and np.all(candidate <= e1.caps)

@@ -60,6 +60,10 @@ class TestLoading:
             ({"snr_gap": 0.2}, "snr_gap"),
             ({"gains_unit": "nepers"}, "gains_unit"),
             ({"bogus": 1}, "scenario"),
+            ({"gains": {"x": 1}}, "gains"),
+            ({"gains": [["a", 1], [1, 1]]}, "gains"),
+            ({"gains": [[1, 2], [1]]}, "gains"),
+            ({"snr_gap": math.inf}, "snr_gap"),
         ],
     )
     def test_schema_violations_name_the_field(self, overrides, field):
