@@ -1,29 +1,26 @@
 """Weighted sum-rate power allocation in Gaussian interference channels.
 
-Spectral machinery for the achievable SIR region, analytic bounds and
-closed-form relaxations, three solvers (projected gradient, successive
-linearization over a supporting-hyperplane polytope, LP relaxation), a
-brute-force grid oracle, and a scenario/report file layer with a CLI.
+The model is one carrier shared by L transmit/receive pairs (a CDMA cell
+or one tone of a DSL binder). Spectral machinery for the achievable SIR
+region, analytic bounds and closed-form relaxations, three solvers
+(projected gradient, successive linearization over a supporting-hyperplane
+polytope, LP relaxation), a brute-force grid oracle, and a scenario/report
+file layer with a CLI.
 """
 
 from .channel import (
     ChannelInstance,
     DerivedMatrices,
-    MultiToneInstance,
-    StackedMultiTone,
     derive_matrices,
     in_achievable_region,
-    noiseless_sir,
     objective,
     objective_gradient_p,
     objective_log,
     power_of_sir,
     sir_of_power,
-    stack_multitone,
 )
 from .exceptions import (
     ConvergenceError,
-    DegenerateInputError,
     InfeasibleSirError,
     InfeasibleWeightError,
     ReducibleMatrixError,
@@ -33,7 +30,6 @@ from .exceptions import (
 from .relaxations import (
     BoundsReport,
     RelaxedSolution,
-    cap_eigenvector_power,
     default_cap_index,
     objective_bounds,
     relaxed_max_noiseless,

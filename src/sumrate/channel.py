@@ -1,4 +1,4 @@
-"""Channel model: problem instances, SIR/power maps, and multi-tone stacking.
+"""Channel model: the single-carrier instance, derived matrices and SIR/power maps.
 
 An instance has L transmit/receive pairs with positive gain matrix G, noise
 powers n, per-user power caps, and a probability weight vector. The SNR gap
@@ -33,51 +33,44 @@ import numpy as np
 
 from . import spectral
 from .spectral import _checked, _frozen
-from .exceptions import DegenerateInputError, InfeasibleSirError
+from .exceptions import InfeasibleSirError
 
 __all__ = [
     "ChannelInstance",
     "DerivedMatrices",
-    "MultiToneInstance",
-    "StackedMultiTone",
     "RegionCheck",
     "derive_matrices",
     "sir_of_power",
     "power_of_sir",
     "in_achievable_region",
-    "noiseless_sir",
     "objective",
     "objective_log",
     "objective_gradient_p",
-    "stack_multitone",
 ]
 
 REGION_INSIDE_TOL = 1e-9
 REGION_ACTIVE_TOL = 1e-8
 
 
-class _Channel:
-    """Validation shared by the single- and multi-tone instances.
+@dataclass(frozen=True, eq=False)
+class ChannelInstance:
+    """Single-carrier interference channel (immutable after construction)."""
 
-    Gains are ``(users, users)``, or ``(tones, users, users)`` when the class
-    sets ``_TONE_AXIS``; noise has the shape of gains without its last axis.
-    """
-
-    _TONE_AXIS = False
+    gains: np.ndarray
+    noise: np.ndarray
+    caps: np.ndarray
+    weights: np.ndarray
+    snr_gap: float = 1.0
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
-        per_tone = gains if self._TONE_AXIS else gains[None]
-        if per_tone.ndim != 3 or per_tone.shape[1] != per_tone.shape[2]:
-            axes = "(tones, users, users)" if self._TONE_AXIS else "(users, users)"
-            raise ValueError(f"gains must have shape {axes}, got {gains.shape}")
-        K, n = per_tone.shape[:2]
-        if K < 1:
-            raise ValueError("need at least one tone")
+        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
+            raise ValueError(f"gains must have shape (users, users), got {gains.shape}")
+        n = gains.shape[0]
         if n < 2:
             raise ValueError("an interference channel needs at least two users")
         gains = _checked(gains, gains.shape, "gains")
-        noise = _checked(self.noise, gains.shape[:-1], "noise")
+        noise = _checked(self.noise, (n,), "noise")
         caps = _checked(self.caps, (n,), "caps")
         weights = _checked(self.weights, (n,), "weights", positive=False)
         total = weights.sum()
@@ -96,17 +89,6 @@ class _Channel:
     @property
     def users(self) -> int:
         return self.caps.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelInstance(_Channel):
-    """Single-carrier interference channel (immutable after construction)."""
-
-    gains: np.ndarray
-    noise: np.ndarray
-    caps: np.ndarray
-    weights: np.ndarray
-    snr_gap: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,46 +116,27 @@ _DERIVED_CACHE: "weakref.WeakKeyDictionary[ChannelInstance, DerivedMatrices]"
 _DERIVED_CACHE = weakref.WeakKeyDictionary()
 
 
-def _stacked_matrices(gains, noise, caps, gap, interference=None):
-    """``(F, v, B, gamma_bar)`` for ``(K, L, L)`` gains and ``(K, L)`` noise.
-
-    Slot order is user-major: slot ``l*K + k`` carries user l on tone k, and
-    the SNR gap is absorbed into each direct gain. ``interference``, when
-    given, replaces the stacked ``F`` before ``B`` is formed. ``B[l]`` adds
-    user l's noise terms over its K slots; one tone is the single-carrier
-    case.
-    """
-    K, L = noise.shape
-    KL = K * L
-    F = np.zeros((KL, KL))
-    v = np.zeros(KL)
-    for k in range(K):
-        slots = np.arange(L) * K + k
-        direct = np.diag(gains[k]) / gap
-        F_k = gains[k] / direct[:, None]
-        np.fill_diagonal(F_k, 0.0)
-        F[np.ix_(slots, slots)] = F_k
-        v[slots] = noise[k] / direct
-    if interference is not None:
-        F = interference
-    B = []
-    for l in range(L):
-        indicator = np.zeros(KL)
-        indicator[l * K : (l + 1) * K] = 1.0
-        B.append(_frozen(F + np.outer(v, indicator) / caps[l]))
-    return _frozen(F), _frozen(v), tuple(B), _frozen(np.repeat(caps, K) / v)
-
-
 def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
     """All derived matrices for an instance (cached per instance)."""
     cached = _DERIVED_CACHE.get(inst)
     if cached is not None:
         return cached
-    F, v, B, gamma_bar = _stacked_matrices(
-        inst.gains[None], inst.noise[None], inst.caps, inst.snr_gap
+    direct = np.diag(inst.gains) / inst.snr_gap
+    F = inst.gains / direct[:, None]
+    np.fill_diagonal(F, 0.0)
+    v = inst.noise / direct
+    B = []
+    for l, cap in enumerate(inst.caps):
+        B_l = F.copy()
+        B_l[:, l] += v / cap
+        B.append(_frozen(B_l))
+    derived = DerivedMatrices(
+        F=_frozen(F),
+        v=_frozen(v),
+        F_tilde=_frozen(F + np.diag(v / inst.caps)),
+        B=tuple(B),
+        gamma_bar=_frozen(inst.caps / v),
     )
-    F_tilde = _frozen(F + np.diag(v / inst.caps))
-    derived = DerivedMatrices(F=F, v=v, F_tilde=F_tilde, B=B, gamma_bar=gamma_bar)
     _DERIVED_CACHE[inst] = derived
     return derived
 
@@ -238,23 +201,6 @@ def in_achievable_region(inst: ChannelInstance, gamma) -> RegionCheck:
     return RegionCheck(inside=inside, active=active, radii=radii)
 
 
-def noiseless_sir(inst: ChannelInstance, p) -> np.ndarray:
-    """Noise-free SIR ``beta(p) = p / (F p)``.
-
-    Scale invariant; satisfies ``diag(beta) F p = p`` and
-    ``rho(diag(beta) F) = 1``. Needs at least two nonzero powers, otherwise
-    an interference denominator vanishes.
-    """
-    der = derive_matrices(inst)
-    p = _checked(p, (inst.users,), "p", positive=False)
-    if np.count_nonzero(p) < 2:
-        raise DegenerateInputError(
-            "noiseless SIR needs at least two active users (interference "
-            "denominator vanishes otherwise)"
-        )
-    return p / (der.F @ p)
-
-
 def objective(weights, gamma) -> float:
     """Weighted sum rate ``sum_l w_l log(1 + gamma_l)`` in nats."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -293,75 +239,3 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
     gamma = p / denom
     jac = (np.eye(inst.users) - gamma[:, None] * der.F) / denom[:, None]
     return jac.T @ (inst.weights / (1.0 + gamma))
-
-
-@dataclass(frozen=True, eq=False)
-class MultiToneInstance(_Channel):
-    """Synchronous multi-tone channel: per-tone gains/noise, per-user budget.
-
-    Per-slot weights are ``w_l / K`` so the stacked weight vector stays a
-    probability vector over all K*L slots.
-    """
-
-    _TONE_AXIS = True
-
-    gains: np.ndarray  # (K, L, L)
-    noise: np.ndarray  # (K, L)
-    caps: np.ndarray  # (L,)
-    weights: np.ndarray  # (L,)
-    snr_gap: float = 1.0
-
-    @property
-    def tones(self) -> int:
-        return self.gains.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class StackedMultiTone:
-    """Stacked (K*L)-dimensional problem data for a multi-tone instance.
-
-    Slot order is user-major: slot ``l*K + k`` carries user l on tone k.
-    ``B[l]`` sums the rank-one noise terms over user l's K slots, matching
-    the per-user budget constraint ``rho(diag(sir) B[l]) <= 1``.
-    """
-
-    users: int
-    tones: int
-    F: np.ndarray
-    v: np.ndarray
-    weights: np.ndarray
-    caps: np.ndarray
-    B: tuple
-    gamma_bar: np.ndarray
-
-
-def stack_multitone(mt: MultiToneInstance, interference=None) -> StackedMultiTone:
-    """Stack a multi-tone instance into one (K*L)-dimensional problem.
-
-    With synchronous tones the stacked interference matrix couples only
-    same-tone slots (zero cross-tone entries; block diagonal up to the
-    tone-grouping permutation). Pass ``interference`` to supply an explicit
-    stacked matrix with cross-tone coupling instead; it must be nonnegative
-    with a zero diagonal and is substituted before the per-user constraint
-    matrices are formed.
-    """
-    L, K = mt.users, mt.tones
-    if interference is not None:
-        interference = _checked(
-            interference, (K * L, K * L), "interference override", positive=False
-        )
-        if np.any(np.diag(interference) != 0):
-            raise ValueError("interference override must have a zero diagonal")
-    F, v, B, gamma_bar = _stacked_matrices(
-        mt.gains, mt.noise, mt.caps, mt.snr_gap, interference
-    )
-    return StackedMultiTone(
-        users=L,
-        tones=K,
-        F=F,
-        v=v,
-        weights=_frozen(np.repeat(mt.weights / K, K)),
-        caps=mt.caps,
-        B=B,
-        gamma_bar=gamma_bar,
-    )

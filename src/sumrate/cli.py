@@ -19,7 +19,6 @@ from .exceptions import (
     SumrateError,
 )
 
-ALGORITHMS = ("gradient", "linearized", "lp")
 DEFAULT_MULTISTART = 16
 DEFAULT_SEED = 0
 DEFAULT_GRID = 4
@@ -34,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one of the three solvers")
     solve.add_argument("--scenario", required=True)
-    solve.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+    solve.add_argument("--algorithm", choices=scenario.ALGORITHMS, default=None,
                        help="defaults to the scenario's solver.algorithm")
     solve.add_argument("--oracle-check", action="store_true")
     solve.add_argument("--resolution", type=int, default=201,
@@ -63,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a seeded random scenario")
     gen.add_argument("--users", type=int, required=True)
-    gen.add_argument("--tones", type=int, default=1)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--cross-lo", type=float, default=0.02)
     gen.add_argument("--cross-hi", type=float, default=0.3)
@@ -84,17 +82,6 @@ def _emit_report(doc: dict, out) -> None:
         sys.stdout.write(scenario.save_report(doc))
     else:
         scenario.save_report(doc, out)
-
-
-def _single_tone_instance(sc: scenario.Scenario) -> channel.ChannelInstance:
-    inst = sc.to_instance()
-    if not isinstance(inst, channel.ChannelInstance):
-        raise ScenarioError(
-            "tones: multi-tone scenarios with more than one tone are not "
-            "supported by this command; stack_multitone exposes the stacked "
-            "matrices for external processing"
-        )
-    return inst
 
 
 def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None,
@@ -134,24 +121,24 @@ def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None,
 
 def _cmd_solve(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    inst = _single_tone_instance(sc)
+    inst = sc.to_instance()
     opts = sc.solver
     algorithm = args.algorithm or opts.get("algorithm")
-    if algorithm not in ALGORITHMS:
+    if algorithm is None:
         raise ScenarioError(
-            f"algorithm: got {algorithm!r}; pass --algorithm or set "
-            f"solver.algorithm to one of {', '.join(ALGORITHMS)}"
+            "algorithm: pass --algorithm or set solver.algorithm to one of "
+            f"{', '.join(scenario.ALGORITHMS)}"
         )
-    seed = args.seed if args.seed is not None else int(opts.get("seed", DEFAULT_SEED))
+    seed = args.seed if args.seed is not None else opts.get("seed", DEFAULT_SEED)
     multistart = (
         args.multistart
         if args.multistart is not None
-        else int(opts.get("multistart", DEFAULT_MULTISTART))
+        else opts.get("multistart", DEFAULT_MULTISTART)
     )
     grid = (
         args.polytope_grid
         if args.polytope_grid is not None
-        else int(opts.get("polytope_grid", DEFAULT_GRID))
+        else opts.get("polytope_grid", DEFAULT_GRID)
     )
     poly_K = (
         args.polytope_K
@@ -188,7 +175,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    inst = _single_tone_instance(sc)
+    inst = sc.to_instance()
     bounds = relaxations.objective_bounds(inst)
     doc = {
         "version": scenario.SCHEMA_VERSION,
@@ -205,7 +192,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_relax(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    inst = _single_tone_instance(sc)
+    inst = sc.to_instance()
     variant = args.variant
     if variant == "tilde":
         sol = relaxations.relaxed_max_tilde(inst)
@@ -254,7 +241,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    inst = _single_tone_instance(sc)
+    inst = sc.to_instance()
     result = solvers.oracle_grid(
         inst, resolution=args.resolution, refine=not args.no_refine
     )
@@ -274,7 +261,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     sc = scenario.generate_instance(
         args.users,
-        tones=args.tones,
         seed=args.seed,
         cross_range=(args.cross_lo, args.cross_hi),
     )

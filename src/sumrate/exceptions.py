@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SumrateError",
+    "ReducibleMatrixError",
+    "ConvergenceError",
+    "InfeasibleWeightError",
+    "InfeasibleSirError",
+    "ScenarioError",
+]
+
 
 class SumrateError(Exception):
     """Base class for all library errors."""
@@ -32,10 +41,6 @@ class InfeasibleSirError(SumrateError, ValueError):
     def __init__(self, message, *, radius=None):
         super().__init__(message)
         self.radius = radius
-
-
-class DegenerateInputError(SumrateError, ValueError):
-    """Input is structurally degenerate for the requested map."""
 
 
 class ScenarioError(SumrateError, ValueError):

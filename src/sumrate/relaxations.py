@@ -41,7 +41,6 @@ __all__ = [
     "RelaxedSolution",
     "objective_bounds",
     "uniform_sir_power",
-    "cap_eigenvector_power",
     "relaxed_max_tilde",
     "relaxed_max_noiseless",
     "default_cap_index",
@@ -79,18 +78,6 @@ def uniform_sir_power(inst: channel.ChannelInstance) -> np.ndarray:
     """Power vector realizing the uniform-SIR lower-bound point."""
     radius = channel.derive_matrices(inst).max_radius
     return channel.power_of_sir(inst, np.full(inst.users, 1.0 / radius))
-
-
-def cap_eigenvector_power(inst: channel.ChannelInstance, t: float = 1.0) -> np.ndarray:
-    """Diagnostic candidate ``t * x(B_i)`` clamped to the cap box.
-
-    ``i`` is the user with the largest constraint radius. The scale t is not
-    determined by the bound itself, so the clamped vector is a heuristic
-    starting point, not a certified optimizer.
-    """
-    B_i = channel.derive_matrices(inst).B[default_cap_index(inst)]
-    x = spectral.perron_pair(B_i).right
-    return np.clip(t * x, 0.0, inst.caps)
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,28 @@ Scenario schema (JSON object, version 1)::
     {
       "version": 1,
       "users": <int L >= 2>,
-      "tones": <int K >= 1>,                  # optional, default 1
-      "gains": L x L (or K x L x L) positive numbers,
+      "tones": 1,                             # optional; must be 1
+      "gains": L x L (or 1 x L x L) positive numbers,
       "gains_unit": "linear" | "db",          # optional, default "linear"
-      "noise": L (or K x L) positive numbers,
+      "noise": L (or 1 x L) positive numbers,
       "noise_unit": "linear" | "dbm",         # optional, default "linear"
       "caps": L positive numbers,
       "weights": L nonnegative numbers summing to 1,   # optional, default uniform
       "snr_gap": number >= 1,                 # optional, default 1
-      "solver": { "algorithm": ..., "seed": ..., "multistart": ...,
-                  "polytope_grid": ..., "polytope_K": ... }   # optional
+      "solver": {                             # optional, every key optional
+        "algorithm": "gradient" | "linearized" | "lp",
+        "seed": <int >= 0>, "multistart": <int >= 1>,
+        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null,
+        "kkt_tol": <finite number > 0>
+      }
     }
 
 Loading normalizes to canonical form: units converted to linear once (dB
 gains via ``10**(db/10)``, dBm noise likewise), unit flags dropped, weights
-made explicit, and a one-tone multi-tone scenario squeezed to the equivalent
-single-carrier form (they are the same problem, and must hash identically).
+made explicit, and the one-tone form (a leading tone axis of length one on
+gains and noise) squeezed to the flat form (they are the same problem, and
+must hash identically). The channel is single carrier: ``tones`` other than
+1 is rejected.
 Numbers are serialized with 17 significant digits, so save/load round trips
 are bit-stable and canonical output is byte-deterministic.
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +60,29 @@ __all__ = [
 SCHEMA_VERSION = 1
 VERIFY_TOL = 1e-10
 
-_SOLVER_KEYS = (
-    "algorithm",
-    "seed",
-    "multistart",
-    "polytope_grid",
-    "polytope_K",
-    "kkt_tol",
-)
+ALGORITHMS = ("gradient", "linearized", "lp")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# solver key -> (valid value test, constraint named in the error)
+_SOLVER_RULES = {
+    "algorithm": (lambda x: x in ALGORITHMS, f"must be one of {', '.join(ALGORITHMS)}"),
+    "seed": (lambda x: _is_int(x) and x >= 0, "must be an integer >= 0"),
+    "multistart": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
+    "polytope_grid": (lambda x: _is_int(x) and x >= 2, "must be an integer >= 2"),
+    "polytope_K": (
+        lambda x: x is None or _is_finite_number(x), "must be a finite number or null"
+    ),
+    "kkt_tol": (lambda x: _is_finite_number(x) and x > 0, "must be a finite number > 0"),
+}
+_SOLVER_KEYS = tuple(_SOLVER_RULES)
 
 
 def _format_number(x) -> str:
@@ -100,33 +122,28 @@ def canonical_json(value) -> str:
 
 @dataclass
 class Scenario:
-    """Canonical in-memory scenario. Gains/noise always carry the tone axis."""
+    """Canonical in-memory scenario of a single-carrier channel."""
 
     users: int
-    tones: int
-    gains: np.ndarray  # (K, L, L), linear
-    noise: np.ndarray  # (K, L), linear
+    gains: np.ndarray  # (L, L), linear
+    noise: np.ndarray  # (L,), linear
     caps: np.ndarray  # (L,)
     weights: np.ndarray  # (L,)
     snr_gap: float = 1.0
     solver: dict = field(default_factory=dict)
 
     def problem_dict(self) -> dict:
-        d = {
+        # "tones": 1 keeps scenario hashes and saved files as they always were
+        return {
             "version": SCHEMA_VERSION,
             "users": int(self.users),
-            "tones": int(self.tones),
+            "tones": 1,
+            "gains": self.gains.tolist(),
+            "noise": self.noise.tolist(),
             "caps": self.caps.tolist(),
             "weights": self.weights.tolist(),
             "snr_gap": float(self.snr_gap),
         }
-        if self.tones == 1:
-            d["gains"] = self.gains[0].tolist()
-            d["noise"] = self.noise[0].tolist()
-        else:
-            d["gains"] = self.gains.tolist()
-            d["noise"] = self.noise.tolist()
-        return d
 
     def canonical_dict(self) -> dict:
         d = self.problem_dict()
@@ -138,17 +155,8 @@ class Scenario:
     def sha256(self) -> str:
         return hashlib.sha256(canonical_json(self.problem_dict()).encode()).hexdigest()
 
-    def to_instance(self):
-        """The model object: single-carrier instance when tones == 1."""
-        if self.tones == 1:
-            return channel.ChannelInstance(
-                gains=self.gains[0],
-                noise=self.noise[0],
-                caps=self.caps,
-                weights=self.weights,
-                snr_gap=self.snr_gap,
-            )
-        return channel.MultiToneInstance(
+    def to_instance(self) -> channel.ChannelInstance:
+        return channel.ChannelInstance(
             gains=self.gains,
             noise=self.noise,
             caps=self.caps,
@@ -163,17 +171,14 @@ def _require(condition, fieldname, constraint):
 
 
 def _numeric_array(raw, fieldname, shape, *, tone_axis=False):
-    """Finite float array of ``shape``; with ``tone_axis`` the leading tone
-    axis may be omitted when there is one tone."""
+    """Finite float array of ``shape``; with ``tone_axis`` a leading axis of
+    length one (the one-tone form) is squeezed away."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{fieldname}: must be an array of numbers") from None
-    if tone_axis and arr.ndim == len(shape) - 1:
-        _require(
-            shape[0] == 1, fieldname, f"{arr.ndim}-D {fieldname} requires tones == 1"
-        )
-        arr = arr[None]
+    if tone_axis and arr.ndim == len(shape) + 1 and arr.shape[0] == 1:
+        arr = arr[0]
     _require(arr.shape == shape, fieldname, f"must have shape {shape}, got {arr.shape}")
     _require(bool(np.all(np.isfinite(arr))), fieldname, "must be finite")
     return arr
@@ -187,9 +192,6 @@ def parse_scenario(raw: dict) -> Scenario:
         "caps", "weights", "snr_gap", "solver",
     }
     _require(not unknown, "scenario", f"unknown fields {sorted(unknown)}")
-    def _is_int(x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
     version = raw.get("version", SCHEMA_VERSION)
     _require(
         _is_int(version) and version == SCHEMA_VERSION,
@@ -199,7 +201,11 @@ def parse_scenario(raw: dict) -> Scenario:
     users = raw.get("users")
     _require(_is_int(users) and users >= 2, "users", "must be an integer >= 2")
     tones = raw.get("tones", 1)
-    _require(_is_int(tones) and tones >= 1, "tones", "must be an integer >= 1")
+    _require(
+        _is_int(tones) and tones == 1,
+        "tones",
+        "must be 1 (the channel model is single carrier)",
+    )
 
     gains_unit = raw.get("gains_unit", "linear")
     _require(gains_unit in ("linear", "db"), "gains_unit", "must be 'linear' or 'db'")
@@ -210,12 +216,12 @@ def parse_scenario(raw: dict) -> Scenario:
     _require("noise" in raw, "noise", "is required")
     _require("caps" in raw, "caps", "is required")
 
-    gains = _numeric_array(raw["gains"], "gains", (tones, users, users), tone_axis=True)
+    gains = _numeric_array(raw["gains"], "gains", (users, users), tone_axis=True)
     if gains_unit == "db":
         gains = 10.0 ** (gains / 10.0)
     _require(bool(np.all(gains > 0)), "gains", "must be entrywise positive (linear)")
 
-    noise = _numeric_array(raw["noise"], "noise", (tones, users), tone_axis=True)
+    noise = _numeric_array(raw["noise"], "noise", (users,), tone_axis=True)
     if noise_unit == "dbm":
         noise = 10.0 ** (noise / 10.0)
     _require(bool(np.all(noise > 0)), "noise", "must be entrywise positive (linear)")
@@ -246,10 +252,12 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(solver, dict), "solver", "must be an object")
     unknown_solver = set(solver) - set(_SOLVER_KEYS)
     _require(not unknown_solver, "solver", f"unknown keys {sorted(unknown_solver)}")
+    for key, value in solver.items():
+        valid, constraint = _SOLVER_RULES[key]
+        _require(valid(value), f"solver.{key}", constraint)
 
     return Scenario(
         users=users,
-        tones=tones,
         gains=gains,
         noise=noise,
         caps=caps,
@@ -293,7 +301,6 @@ def save_report(report: dict, path=None) -> str:
 
 def generate_instance(
     users,
-    tones=1,
     seed=0,
     *,
     cross_range=(0.02, 0.3),
@@ -312,20 +319,15 @@ def generate_instance(
     """
     if users < 2:
         raise ValueError("users must be >= 2")
-    if tones < 1:
-        raise ValueError("tones must be >= 1")
     rng = np.random.default_rng(int(seed))
-    gains = rng.uniform(cross_range[0], cross_range[1], (tones, users, users))
-    direct = rng.uniform(direct_range[0], direct_range[1], (tones, users))
-    for k in range(tones):
-        np.fill_diagonal(gains[k], direct[k])
-    noise = rng.uniform(noise_range[0], noise_range[1], (tones, users))
+    gains = rng.uniform(cross_range[0], cross_range[1], (users, users))
+    np.fill_diagonal(gains, rng.uniform(direct_range[0], direct_range[1], users))
+    noise = rng.uniform(noise_range[0], noise_range[1], users)
     caps = rng.uniform(cap_range[0], cap_range[1], users)
     weights = rng.uniform(weight_floor, 1.0, users)
     weights = weights / weights.sum()
     return Scenario(
         users=int(users),
-        tones=int(tones),
         gains=gains,
         noise=noise,
         caps=caps,
@@ -340,8 +342,6 @@ def verify_report(scenario: Scenario, report: dict) -> None:
     power and require agreement within ``VERIFY_TOL``. Raises ScenarioError on
     mismatch; reports are self-verifying by construction."""
     inst = scenario.to_instance()
-    if not isinstance(inst, channel.ChannelInstance):
-        raise ScenarioError("verify_report supports single-carrier reports only")
     if "power" not in report:
         raise ScenarioError("report: missing power field")
     power = np.asarray(report["power"], dtype=float)

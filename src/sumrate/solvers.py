@@ -46,6 +46,18 @@ MIN_STEP = 1e-12
 LINEARIZED_MAX_STEPS = 100
 
 TERMINATIONS = ("kkt_satisfied", "max_iters", "lp_optimal", "projected", "stalled")
+"""Why a solver stopped, as reported in ``SolverReport.termination``.
+
+* ``kkt_satisfied``: the reported power passes :func:`kkt_classify`.
+* ``max_iters``: the iteration or step budget ran out first.
+* ``lp_optimal``: the polytope LP could not improve on the current vertex,
+  and the reported power passes :func:`kkt_classify`.
+* ``projected``: the LP vertex lifted outside the cap box and was clamped
+  back into it (``solve_lp_relax``).
+* ``stalled``: no further progress was possible at a point that fails
+  :func:`kkt_classify`: no increasing step of at least ``MIN_STEP`` in the
+  gradient solver, or an LP optimum whose power is not stationary.
+"""
 
 
 class KktReport(NamedTuple):
@@ -128,6 +140,8 @@ def _report(inst, power, *, iterations, termination, lp_bound=None,
     power = np.clip(np.asarray(power, dtype=float).reshape(-1), 0.0, inst.caps)
     sir = channel.sir_of_power(inst, power)
     kkt = kkt_classify(inst, power, tol=kkt_tol)
+    if termination == "lp_optimal" and not kkt.satisfied:
+        termination = "stalled"  # an LP optimum off KKT is not an optimum
     return SolverReport(
         power=power,
         sir=sir,

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sumrate as sr
-from sumrate.exceptions import DegenerateInputError, InfeasibleSirError
+from sumrate.exceptions import InfeasibleSirError
 from conftest import random_instance
 
 
@@ -164,32 +164,6 @@ class TestRelaxationContainment:
         )
 
 
-class TestNoiselessSir:
-    def test_reference(self, e1):
-        beta = sr.noiseless_sir(e1, [1.0, 1.0])
-        assert_allclose(beta, [10.0, 10.0])
-        der = sr.derive_matrices(e1)
-        assert_allclose((beta[:, None] * der.F) @ [1.0, 1.0], [1.0, 1.0])
-        assert_allclose(sr.spectral_radius(beta[:, None] * der.F), 1.0, atol=1e-12)
-
-    def test_scale_invariance(self, e1):
-        p = np.array([0.3, 0.8])
-        assert_allclose(sr.noiseless_sir(e1, 2.0 * p), sr.noiseless_sir(e1, p))
-
-    def test_single_active_user_degenerate(self, e1):
-        with pytest.raises(DegenerateInputError):
-            sr.noiseless_sir(e1, [1.0, 0.0])
-
-    def test_fixed_point_with_inactive_user(self):
-        inst = random_instance(5, users=3)
-        der = sr.derive_matrices(inst)
-        p = np.array([0.4, 0.0, 0.7]) * inst.caps
-        beta = sr.noiseless_sir(inst, p)
-        assert beta[1] == 0.0
-        assert_allclose((beta[:, None] * der.F) @ p, p, atol=1e-12)
-        assert_allclose(sr.spectral_radius(beta[:, None] * der.F), 1.0, atol=1e-10)
-
-
 class TestObjectives:
     def test_zero(self):
         assert sr.objective([0.5, 0.5], [0.0, 0.0]) == 0.0
@@ -249,87 +223,3 @@ class TestGradient:
                 - sr.objective(inst.weights, sr.sir_of_power(inst, dn))
             ) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1e-12, np.max(np.abs(fd)))
-
-
-class TestMultiTone:
-    def _mt(self, K=2, L=2, seed=0):
-        rng = np.random.default_rng(seed)
-        gains = rng.uniform(0.05, 0.3, (K, L, L))
-        for k in range(K):
-            np.fill_diagonal(gains[k], rng.uniform(0.8, 1.2, L))
-        return sr.MultiToneInstance(
-            gains=gains,
-            noise=rng.uniform(0.05, 0.2, (K, L)),
-            caps=rng.uniform(0.5, 2.0, L),
-            weights=np.full(L, 1.0 / L),
-        )
-
-    def test_single_tone_reduces_exactly(self):
-        mt = self._mt(K=1, L=3, seed=4)
-        stacked = sr.stack_multitone(mt)
-        inst = sr.ChannelInstance(
-            gains=mt.gains[0], noise=mt.noise[0], caps=mt.caps,
-            weights=mt.weights, snr_gap=mt.snr_gap,
-        )
-        der = sr.derive_matrices(inst)
-        assert np.array_equal(stacked.F, der.F)
-        assert np.array_equal(stacked.v, der.v)
-        assert np.array_equal(stacked.gamma_bar, der.gamma_bar)
-        for l in range(3):
-            assert np.array_equal(stacked.B[l], der.B[l])
-        assert np.array_equal(stacked.weights, inst.weights)
-
-    def test_stacking_order_and_block_structure(self):
-        mt = self._mt(K=2, L=2, seed=7)
-        stacked = sr.stack_multitone(mt)
-        assert stacked.F.shape == (4, 4)
-        # slot l*K + k: user-major ordering (user 1 tones, then user 2 tones)
-        for k in range(2):
-            F_k, v_k = np.zeros((2, 2)), np.zeros(2)
-            gd = np.diag(mt.gains[k])
-            F_k = mt.gains[k] / gd[:, None]
-            np.fill_diagonal(F_k, 0.0)
-            v_k = mt.noise[k] / gd
-            slots = np.array([0, 1]) * 2 + k
-            assert_allclose(stacked.F[np.ix_(slots, slots)], F_k)
-            assert_allclose(stacked.v[slots], v_k)
-        # synchronous input: all cross-tone entries are exactly zero
-        for i in range(4):
-            for j in range(4):
-                if i % 2 != j % 2:
-                    assert stacked.F[i, j] == 0.0
-
-    def test_weights_form_probability_vector(self):
-        stacked = sr.stack_multitone(self._mt(K=3, L=2, seed=1))
-        assert_allclose(stacked.weights.sum(), 1.0)
-        assert_allclose(stacked.weights, np.repeat([0.5 / 3, 0.5 / 3], 3))
-
-    def test_budget_constraint_matrices(self):
-        mt = self._mt(K=2, L=2, seed=3)
-        stacked = sr.stack_multitone(mt)
-        for l in range(2):
-            indicator = np.zeros(4)
-            indicator[l * 2 : (l + 1) * 2] = 1.0
-            expected = stacked.F + np.outer(stacked.v, indicator) / mt.caps[l]
-            assert_allclose(stacked.B[l], expected)
-
-    def test_explicit_interference_override(self):
-        mt = self._mt(K=2, L=2, seed=9)
-        rng = np.random.default_rng(0)
-        override = rng.uniform(0.01, 0.2, (4, 4))
-        np.fill_diagonal(override, 0.0)
-        stacked = sr.stack_multitone(mt, interference=override)
-        assert_allclose(stacked.F, override)
-        with pytest.raises(ValueError, match="zero diagonal"):
-            sr.stack_multitone(mt, interference=np.full((4, 4), 0.1))
-        with pytest.raises(ValueError, match="shape"):
-            sr.stack_multitone(mt, interference=np.zeros((3, 3)))
-
-    def test_tone_dimension_mismatch(self):
-        rng = np.random.default_rng(2)
-        gains = rng.uniform(0.1, 1.0, (2, 2, 2))
-        with pytest.raises(ValueError, match="noise"):
-            sr.MultiToneInstance(
-                gains=gains, noise=rng.uniform(0.1, 0.2, (3, 2)),
-                caps=[1.0, 1.0], weights=[0.5, 0.5],
-            )

@@ -165,12 +165,24 @@ def test_algorithm_from_scenario_solver_block(tmp_path, capsys):
 
 
 def test_multitone_solve_unsupported(tmp_path, capsys):
-    run(["gen", "--users", "2", "--tones", "2", "--seed", "0",
-         "--out", str(tmp_path / "mt.json")])
-    code = run(["solve", "--scenario", str(tmp_path / "mt.json"),
-                "--algorithm", "gradient"])
+    raw = json.loads(open(E1_PATH).read())
+    raw.update(tones=2, gains=[raw["gains"]] * 2, noise=[raw["noise"]] * 2)
+    path = tmp_path / "mt.json"
+    path.write_text(json.dumps(raw))
+    code = run(["solve", "--scenario", str(path), "--algorithm", "gradient"])
     assert code == 1
-    assert "tone" in capsys.readouterr().err
+    assert "tones" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", [{"kkt_tol": -1}, {"seed": 1.5}, {"algorithm": 5}])
+def test_invalid_solver_block_exits_1(tmp_path, capsys, solver):
+    raw = json.loads(open(E1_PATH).read())
+    raw["solver"] = solver
+    path = tmp_path / "bad_solver.json"
+    path.write_text(json.dumps(raw))
+    code = run(["solve", "--scenario", str(path), "--algorithm", "gradient"])
+    assert code == 1
+    assert f"solver.{next(iter(solver))}" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -53,14 +53,9 @@ class TestObjectiveBounds:
         sr.objective_bounds(inst)
         sr.uniform_sir_power(inst)
         sr.default_cap_index(inst)
-        sr.cap_eigenvector_power(inst)
         sr.build_polytope(inst, grid=2)
         assert len(calls) == inst.users
         assert_allclose(der.radii, [original(B_l) for B_l in der.B], rtol=0, atol=0)
-
-    def test_cap_eigenvector_candidate_is_feasible(self, e1):
-        candidate = sr.cap_eigenvector_power(e1, t=5.0)
-        assert np.all(candidate >= 0) and np.all(candidate <= e1.caps)
 
 
 class TestTildeRelaxation:

@@ -37,11 +37,11 @@ class TestLoading:
         sc = sr.parse_scenario(
             e1_dict(gains=[[0.0, -20.0], [-20.0, 0.0]], gains_unit="db")
         )
-        assert_allclose(sc.gains[0], [[1.0, 0.01], [0.01, 1.0]])
+        assert_allclose(sc.gains, [[1.0, 0.01], [0.01, 1.0]])
 
     def test_dbm_noise_converts(self):
         sc = sr.parse_scenario(e1_dict(noise=[-10.0, -10.0], noise_unit="dbm"))
-        assert_allclose(sc.noise[0], [0.1, 0.1])
+        assert_allclose(sc.noise, [0.1, 0.1])
 
     def test_missing_weights_default_uniform(self):
         raw = e1_dict()
@@ -64,11 +64,36 @@ class TestLoading:
             ({"gains": [["a", 1], [1, 1]]}, "gains"),
             ({"gains": [[1, 2], [1]]}, "gains"),
             ({"snr_gap": math.inf}, "snr_gap"),
+            ({"tones": 2}, "tones"),
+            ({"tones": 0}, "tones"),
+            ({"tones": True}, "tones"),
+            ({"gains": [[[1.0, 0.1], [0.1, 1.0]]] * 2}, "gains"),
+            ({"solver": {"kkt_tol": -1}}, "solver.kkt_tol"),
+            ({"solver": {"kkt_tol": 0}}, "solver.kkt_tol"),
+            ({"solver": {"kkt_tol": "nan"}}, "solver.kkt_tol"),
+            ({"solver": {"kkt_tol": math.nan}}, "solver.kkt_tol"),
+            ({"solver": {"seed": 1.5}}, "solver.seed"),
+            ({"solver": {"seed": -1}}, "solver.seed"),
+            ({"solver": {"seed": True}}, "solver.seed"),
+            ({"solver": {"multistart": True}}, "solver.multistart"),
+            ({"solver": {"multistart": 0}}, "solver.multistart"),
+            ({"solver": {"polytope_grid": 1}}, "solver.polytope_grid"),
+            ({"solver": {"polytope_grid": 3.0}}, "solver.polytope_grid"),
+            ({"solver": {"polytope_K": math.inf}}, "solver.polytope_K"),
+            ({"solver": {"polytope_K": "5"}}, "solver.polytope_K"),
+            ({"solver": {"algorithm": 5}}, "solver.algorithm"),
+            ({"solver": {"algorithm": "newton"}}, "solver.algorithm"),
         ],
     )
     def test_schema_violations_name_the_field(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):
             sr.parse_scenario(e1_dict(**overrides))
+
+    @pytest.mark.parametrize("polytope_K", [None, 5, 12.5])
+    def test_valid_solver_block_kept(self, polytope_K):
+        solver = {"algorithm": "lp", "seed": 0, "multistart": 1,
+                  "polytope_grid": 2, "polytope_K": polytope_K, "kkt_tol": 1e-7}
+        assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
@@ -136,14 +161,6 @@ class TestGeneration:
         inst = sc.to_instance()
         assert isinstance(inst, sr.ChannelInstance)
         assert inst.users == 4
-
-    def test_multitone_generation(self):
-        sc = sr.generate_instance(2, tones=3, seed=5)
-        inst = sc.to_instance()
-        assert isinstance(inst, sr.MultiToneInstance)
-        assert inst.tones == 3
-        stacked = sr.stack_multitone(inst)
-        assert stacked.F.shape == (6, 6)
 
 
 class TestVerifyReport:

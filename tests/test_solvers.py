@@ -228,7 +228,7 @@ class TestSolveLpRelax:
         assert_allclose(report.power, [1.0, 1.0], atol=1e-9)
         assert_allclose(report.objective_value, LOG6, atol=1e-9)
         assert math.log(5.0) - 1e-9 <= report.lp_bound <= math.log(10.0) + 1e-9
-        assert report.termination in ("lp_optimal", "projected")
+        assert report.termination in ("lp_optimal", "projected", "stalled")
         assert report.bounds.lower - 1e-9 <= report.objective_value
 
     def test_single_user_weight_pins_its_cap(self, e1):
@@ -244,6 +244,20 @@ class TestSolveLpRelax:
         report = sr.solve_lp_relax(inst, sr.build_polytope(inst, grid=3))
         assert np.all(report.power >= 0) and np.all(report.power <= inst.caps)
         assert report.objective_value <= report.bounds.upper + 1e-9
+
+
+@pytest.mark.parametrize("users", [3, 4])
+def test_optimal_labels_hold_at_kkt_points(users):
+    # the polytope walk ends off KKT on these instances; it must not say optimal
+    labels = []
+    for seed in range(8):
+        inst = sr.generate_instance(users, seed=seed).to_instance()
+        poly = sr.build_polytope(inst)
+        for report in (sr.solve_linearized(inst, poly), sr.solve_lp_relax(inst, poly)):
+            labels.append(report.termination)
+            if report.termination in ("kkt_satisfied", "lp_optimal"):
+                assert report.kkt_residual <= sr.solvers.KKT_TOL
+    assert "stalled" in labels
 
 
 class TestOracleGrid:
