@@ -122,30 +122,23 @@ def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None,
 def _cmd_solve(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     inst = sc.to_instance()
-    opts = sc.solver
+    opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART,
+            "polytope_grid": DEFAULT_GRID, "polytope_K": None,
+            "kkt_tol": solvers.KKT_TOL, **sc.solver}
+    for key in ("seed", "multistart", "polytope_grid", "polytope_K"):
+        value = getattr(args, key)
+        if value is not None:
+            scenario.check_solver_option(key, value, "--" + key.replace("_", "-"))
+            opts[key] = value
     algorithm = args.algorithm or opts.get("algorithm")
     if algorithm is None:
         raise ScenarioError(
             "algorithm: pass --algorithm or set solver.algorithm to one of "
             f"{', '.join(scenario.ALGORITHMS)}"
         )
-    seed = args.seed if args.seed is not None else opts.get("seed", DEFAULT_SEED)
-    multistart = (
-        args.multistart
-        if args.multistart is not None
-        else opts.get("multistart", DEFAULT_MULTISTART)
-    )
-    grid = (
-        args.polytope_grid
-        if args.polytope_grid is not None
-        else opts.get("polytope_grid", DEFAULT_GRID)
-    )
-    poly_K = (
-        args.polytope_K
-        if args.polytope_K is not None
-        else opts.get("polytope_K", None)
-    )
-    kkt_tol = float(opts.get("kkt_tol", solvers.KKT_TOL))
+    seed, multistart = opts["seed"], opts["multistart"]
+    grid, poly_K = opts["polytope_grid"], opts["polytope_K"]
+    kkt_tol = float(opts["kkt_tol"])
     if algorithm == "gradient":
         rep = solvers.solve_gradient_multistart(
             inst, starts=multistart, seed=seed, kkt_tol=kkt_tol

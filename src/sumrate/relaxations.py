@@ -17,13 +17,16 @@ Two kinds of results:
     lifted power ``P(gamma*)`` respects the caps it is a certified global
     maximizer of the original sum-rate problem.
   - ``F`` (noise-free, zero diagonal): solvable when the weights satisfy the
-    majorization condition; upper-bounds the cap-aware relaxed value.
+    majorization condition; upper-bounds the cap-aware relaxed value. It
+    never lifts: ``gamma*`` lies on ``rho(diag(gamma*) F) = 1``, the boundary
+    of the achievable region, where no power vector realizes it.
   - ``B[l]`` (single binding cap l): for the case where exactly cap l is
     conjectured active at the optimum.
 
-Every returned solution carries an independently recomputed Perron pair as
-its certificate; construction fails rather than returning an unverified
-solution.
+Every returned solution carries the Perron pair of its scaled matrix
+``diag(gamma*) M`` as its certificate, computed from that matrix alone and
+independently of the scaling that produced ``gamma*``; construction fails
+rather than returning an unverified solution.
 """
 from __future__ import annotations
 
@@ -94,14 +97,12 @@ class RelaxedSolution:
         _freeze(self, "gamma_star", "lifted_power")
 
 
-def _solve_relaxation(inst, weights, matrix) -> RelaxedSolution:
+def _solve_relaxation(inst, weights, matrix, *, lift=True) -> RelaxedSolution:
     if weights is None:
         weights = inst.weights
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    eta = spectral.inverse_weight(matrix, weights)
+    eta, certificate = spectral.inverse_weight(matrix, weights)
     gamma_star = np.exp(eta)
-    scaled = gamma_star[:, None] * matrix
-    certificate = spectral.perron_pair(scaled)
     if abs(certificate.rho - 1.0) > CERT_RADIUS_TOL:
         raise ConvergenceError(
             f"relaxation certificate failed: radius {certificate.rho!r} != 1",
@@ -114,13 +115,14 @@ def _solve_relaxation(inst, weights, matrix) -> RelaxedSolution:
             residual=drift,
         )
     lifted = None
-    certified = False
-    try:
-        lifted = channel.power_of_sir(inst, gamma_star)
-    except InfeasibleSirError:
-        lifted = None
-    if lifted is not None:
-        certified = bool(np.all(lifted <= inst.caps * (1.0 + CAP_SLACK)))
+    if lift:
+        try:
+            lifted = channel.power_of_sir(inst, gamma_star)
+        except InfeasibleSirError:
+            pass
+    certified = lifted is not None and bool(
+        np.all(lifted <= inst.caps * (1.0 + CAP_SLACK))
+    )
     return RelaxedSolution(
         gamma_star=gamma_star,
         certificate=certificate,
@@ -154,16 +156,16 @@ def relaxed_max_noiseless(
     ``cap_index=None`` uses the zero-diagonal interference matrix F itself
     (all noise dropped); this requires the weights to satisfy the
     majorization condition at every index, and for two users is solvable
-    only at equal weights. An integer ``cap_index`` uses ``B[cap_index]``
+    only at equal weights. Its maximizer sits where the power map has no
+    solution, so ``lifted_power`` is None and ``certified_global`` False.
+    An integer ``cap_index`` uses ``B[cap_index]``
     instead, modelling the case where exactly that cap binds; the lifted
     power then pins ``p_l = cap_l`` at that user.
     """
     der = channel.derive_matrices(inst)
     if cap_index is None:
-        matrix = der.F
-    else:
-        cap_index = int(cap_index)
-        if not 0 <= cap_index < inst.users:
-            raise ValueError(f"cap_index must be in [0, {inst.users})")
-        matrix = der.B[cap_index]
-    return _solve_relaxation(inst, weights, matrix)
+        return _solve_relaxation(inst, weights, der.F, lift=False)
+    cap_index = int(cap_index)
+    if not 0 <= cap_index < inst.users:
+        raise ValueError(f"cap_index must be in [0, {inst.users})")
+    return _solve_relaxation(inst, weights, der.B[cap_index])

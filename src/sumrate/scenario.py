@@ -170,6 +170,13 @@ def _require(condition, fieldname, constraint):
         raise ScenarioError(f"{fieldname}: {constraint}")
 
 
+def check_solver_option(key, value, fieldname=None) -> None:
+    """Raise a :class:`ScenarioError` naming ``fieldname`` (default
+    ``solver.<key>``) unless ``value`` is valid for solver option ``key``."""
+    valid, constraint = _SOLVER_RULES[key]
+    _require(valid(value), fieldname or f"solver.{key}", constraint)
+
+
 def _numeric_array(raw, fieldname, shape, *, tone_axis=False):
     """Finite float array of ``shape``; with ``tone_axis`` a leading axis of
     length one (the one-tone form) is squeezed away."""
@@ -253,8 +260,7 @@ def parse_scenario(raw: dict) -> Scenario:
     unknown_solver = set(solver) - set(_SOLVER_KEYS)
     _require(not unknown_solver, "solver", f"unknown keys {sorted(unknown_solver)}")
     for key, value in solver.items():
-        valid, constraint = _SOLVER_RULES[key]
-        _require(valid(value), f"solver.{key}", constraint)
+        check_solver_option(key, value)
 
     return Scenario(
         users=users,

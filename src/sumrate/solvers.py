@@ -412,7 +412,6 @@ def _chord_bound(inst, polytope: Polytope) -> float:
 def solve_linearized(
     inst: channel.ChannelInstance,
     polytope: Optional[Polytope] = None,
-    xi0=None,
     *,
     kkt_tol=KKT_TOL,
 ) -> SolverReport:
@@ -428,14 +427,7 @@ def solve_linearized(
     """
     poly = polytope if polytope is not None else build_polytope(inst)
     w = inst.weights
-    if xi0 is None:
-        xi, _ = lp_solve(np.zeros(poly.dim), poly)
-    else:
-        xi = np.asarray(xi0, dtype=float).reshape(-1)
-        if xi.shape != (poly.dim,):
-            raise ValueError(f"xi0 must have length {poly.dim}")
-        if not poly.contains(xi, tol=1e-7):
-            raise ValueError("xi0 is not a point of the polytope")
+    xi, _ = lp_solve(np.zeros(poly.dim), poly)
     bound = _chord_bound(inst, poly)
 
     best_power = None

@@ -1,7 +1,8 @@
 """Dense spectral primitives for nonnegative matrices.
 
 Everything in this module operates on small dense square matrices with
-nonnegative entries: the spectral radius, Perron eigenvector pairs, the
+nonnegative entries: the spectral radius, Perron eigenvector pairs (one
+dense eigensolve, accepted only when its eigen-residuals pass), the
 classical product bounds on the spectral radius of diagonally scaled
 matrices, supporting hyperplanes of the log-convex level set
 ``log rho(diag(exp(xi)) B) <= 0``, and two-sided diagonal scalings with
@@ -20,7 +21,6 @@ All functions are pure; inputs are never mutated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,6 @@ __all__ = [
     "inverse_weight",
 ]
 
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
 SCALING_TOL = 1e-10
 SCALING_MAX_SWEEPS = 10_000
 MAJORIZATION_SLACK = 1e-12
@@ -139,19 +137,19 @@ class PerronPair:
 def perron_pair(A) -> PerronPair:
     """Dominant eigenpair of an irreducible nonnegative matrix.
 
-    Power iteration on ``A + shift*I`` with the all-ones start vector. The
-    shift (the max row sum) makes the iteration matrix primitive, so the
-    iteration also converges for periodic patterns such as ``[[0,a],[b,0]]``
-    where the plain iteration would oscillate. Convergence requires both the
-    Rayleigh quotient change (relative, ``POWER_TOL``) and the eigen-residuals
-    to fall below tolerance.
+    One dense ``eig(A)``: the Perron root is the eigenvalue of largest real
+    part, the right vector is its column of ``V`` and the left vector the
+    matching row of ``V^-1``, both taken entrywise in absolute value. ``rho``
+    is the Rayleigh quotient ``y.Ax / y.x``. The pair is returned only when
+    both vectors are entrywise positive and both eigen-residuals (vectors
+    scaled to unit max entry) are at most ``1e-12 * max(1, max row sum)``.
 
     Raises
     ------
     ReducibleMatrixError
         If the positivity pattern is not strongly connected.
     ConvergenceError
-        If residuals are still above tolerance after ``POWER_MAX_ITER`` steps.
+        If the eigensolve fails the residual or positivity test.
     """
     A = _check_matrix(A)
     if not is_irreducible(A):
@@ -159,38 +157,23 @@ def perron_pair(A) -> PerronPair:
             "matrix is reducible; Perron pair requires a strongly connected "
             "positivity pattern"
         )
-    n = A.shape[0]
-    AT = A.T.copy()
-    shift = float(np.max(A.sum(axis=1)))
-    scale = max(1.0, shift)
-    res_tol = 1e-12 * scale
-
-    x = np.ones(n)
-    y = np.ones(n)
-    rho_prev = math.inf
-    rho = 0.0
-    for _ in range(POWER_MAX_ITER):
-        Ax = A @ x
-        Ay = AT @ y
-        rho = float((y @ Ax) / (y @ x))
-        res = max(np.max(np.abs(Ax - rho * x)), np.max(np.abs(Ay - rho * y)))
-        if res <= res_tol and abs(rho - rho_prev) <= POWER_TOL * max(1.0, abs(rho)):
-            break
-        rho_prev = rho
-        x = Ax + shift * x
-        x /= x.max()
-        y = Ay + shift * y
-        y /= y.max()
-    else:
+    values, V = np.linalg.eig(A)
+    k = int(np.argmax(values.real))
+    x = np.abs(V[:, k].real)
+    y = np.abs(np.linalg.solve(V.T, np.eye(len(values))[k]).real)
+    x /= x.max()
+    y /= y.max()
+    Ax = A @ x
+    rho = float((y @ Ax) / (y @ x))
+    res = float(max(np.max(np.abs(Ax - rho * x)), np.max(np.abs(A.T @ y - rho * y))))
+    if not (res <= 1e-12 * max(1.0, float(np.max(A.sum(axis=1))))
+            and np.all(x > 0) and np.all(y > 0)):
         raise ConvergenceError(
-            f"power iteration did not converge in {POWER_MAX_ITER} iterations "
-            f"(residual {res:.3e})",
-            iterations=POWER_MAX_ITER,
-            residual=float(res),
+            f"Perron pair failed its certificate (residual {res:.3e}, "
+            f"min entries {x.min():.3e}, {y.min():.3e})",
+            residual=res,
         )
-    x = x / x.max()
-    y = y / float(x @ y)
-    return PerronPair(rho=rho, right=x, left=y)
+    return PerronPair(rho=rho, right=x, left=y / float(x @ y))
 
 
 def fk_scaling_lower_bound(A, gamma) -> float:
@@ -255,13 +238,11 @@ def supporting_hyperplane(B, eta) -> Hyperplane:
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (B.shape[0],):
         raise ValueError(f"eta must have length {B.shape[0]}")
-    scaled = np.exp(eta)[:, None] * B
-    rho = spectral_radius(scaled)
-    if abs(rho - 1.0) > ANCHOR_TOL:
+    pair = perron_pair(np.exp(eta)[:, None] * B)
+    if abs(pair.rho - 1.0) > ANCHOR_TOL:
         raise ValueError(
-            f"anchor is not on the unit-radius level set: measured radius {rho!r}"
+            f"anchor is not on the unit-radius level set: measured radius {pair.rho!r}"
         )
-    pair = perron_pair(scaled)
     return Hyperplane(normal=pair.weights(), anchor=eta)
 
 
@@ -276,40 +257,38 @@ class ScalingPair:
         _freeze(self, "d1", "d2")
 
 
-def _majorization_guard(zero_diag_indices, w):
+def _majorization_guard(diag, w):
     """Reject weights that cannot be Perron products at zero-diagonal indices.
 
-    Solvability needs the other weights to strictly out-sum ``w_l`` at every
-    index ``l`` with a zero diagonal entry, i.e. ``w_l < 1/2``. Boundary
-    weights (within slack of 1/2) are allowed with a warning rather than
-    silently rejected: the boundary case is attainable for symmetric patterns.
+    For a matrix with fully positive off-diagonal part, ``w`` is attainable
+    iff ``w_l < 1/2`` at every index with a zero diagonal entry. The one
+    exception is the 2x2 zero-diagonal pattern, which attains exactly
+    ``(1/2, 1/2)``. Both limits carry ``MAJORIZATION_SLACK``.
     """
-    for l in zero_diag_indices:
-        if w[l] > 0.5 + MAJORIZATION_SLACK:
+    zero = np.flatnonzero(diag == 0)
+    exchange = len(zero) == len(w) == 2
+    for l in zero:
+        if (w[l] > 0.5 + MAJORIZATION_SLACK if exchange
+                else w[l] >= 0.5 - MAJORIZATION_SLACK):
             raise InfeasibleWeightError(
                 f"weight {w[l]:.6g} at index {l} violates the majorization "
                 "condition (remaining weights must strictly out-sum it at every "
                 "zero-diagonal index)",
                 index=int(l),
             )
-        if w[l] >= 0.5 - MAJORIZATION_SLACK:
-            warnings.warn(
-                f"weight at index {l} sits on the majorization boundary; the "
-                "scaling may converge slowly or not exist",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
 
-def diagonal_scaling(A, u, v, *, d2_init=None) -> ScalingPair:
+def diagonal_scaling(A, u, v) -> ScalingPair:
     """Find positive diagonals with ``D1 A D2 u = u`` and ``v^T D1 A D2 = v^T``.
 
     Alternating update: rescale rows to satisfy the right fixed-vector
     equation, then columns for the left one, until the infinity-norm
     residuals drop below ``SCALING_TOL``. The matrix must be irreducible with either
     a fully positive diagonal or fully positive off-diagonal part; in the
-    latter case the normalized products ``u*v`` must satisfy the majorization
-    condition at every zero-diagonal index.
+    latter case the normalized products ``w = u*v`` must satisfy
+    ``w_l < 1/2`` at every zero-diagonal index ``l`` (the 2x2 zero-diagonal
+    pattern attains exactly ``w = (1/2, 1/2)``), else
+    :class:`InfeasibleWeightError` names the first violating index.
 
     The ``(t*d1, d2/t)`` gauge is fixed by ``max(d1) == max(d2)``.
     """
@@ -329,12 +308,9 @@ def diagonal_scaling(A, u, v, *, d2_init=None) -> ScalingPair:
         )
     w = u * v
     w = w / w.sum()
-    _majorization_guard(np.flatnonzero(diag == 0), w)
+    _majorization_guard(diag, w)
 
-    if d2_init is None:
-        d2 = np.ones(n)
-    else:
-        d2 = _checked(d2_init, (n,), "d2_init")
+    d2 = np.ones(n)
     d1 = np.ones(n)
     residual = math.inf
     for _ in range(SCALING_MAX_SWEEPS):
@@ -356,15 +332,17 @@ def diagonal_scaling(A, u, v, *, d2_init=None) -> ScalingPair:
     return ScalingPair(d1=d1 * t, d2=d2 / t)
 
 
-def inverse_weight(B, w, *, d2_init=None) -> np.ndarray:
+def inverse_weight(B, w) -> tuple[np.ndarray, PerronPair]:
     """Log-scaling ``eta`` whose scaled matrix has Perron products ``w``.
 
-    Returns ``eta`` such that ``diag(exp(eta)) @ B`` has unit spectral radius
-    and Perron weight vector ``w``. Built from :func:`diagonal_scaling` with
-    ``u = 1`` and ``v = w``: the scaled matrix ``diag(d1*d2) B`` is similar to
-    the row-stochastic ``D1 B D2``, and the additive gauge is pinned by
-    renormalizing the radius to one. The result is re-verified with an
-    independently computed Perron pair.
+    Returns ``(eta, pair)``: ``diag(exp(eta)) @ B`` has unit spectral radius
+    and Perron weight vector ``w``, and ``pair`` is the Perron pair of that
+    scaled matrix. Built from :func:`diagonal_scaling` with ``u = 1`` and
+    ``v = w``: the scaled matrix ``diag(d1*d2) B`` is similar to the
+    row-stochastic ``D1 B D2``, and the additive gauge is pinned by
+    renormalizing the radius to one. ``pair`` is computed from the scaled
+    matrix alone, independently of the scaling, and its products must match
+    ``w`` within ``WEIGHT_VERIFY_TOL``.
     """
     B = _check_matrix(B, "B")
     n = B.shape[0]
@@ -372,15 +350,15 @@ def inverse_weight(B, w, *, d2_init=None) -> np.ndarray:
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("w must sum to one")
     w = w / w.sum()
-    pair = diagonal_scaling(B, np.ones(n), w, d2_init=d2_init)
-    eta = np.log(pair.d1 * pair.d2)
+    scaling = diagonal_scaling(B, np.ones(n), w)
+    eta = np.log(scaling.d1 * scaling.d2)
     eta -= math.log(spectral_radius(np.exp(eta)[:, None] * B))
-    check = perron_pair(np.exp(eta)[:, None] * B)
-    drift = float(np.max(np.abs(check.weights() - w)))
+    pair = perron_pair(np.exp(eta)[:, None] * B)
+    drift = float(np.max(np.abs(pair.weights() - w)))
     if drift > WEIGHT_VERIFY_TOL:
         raise ConvergenceError(
             f"inverse weight verification failed: Perron products deviate by "
             f"{drift:.3e} from the prescribed weights",
             residual=drift,
         )
-    return eta
+    return eta, pair

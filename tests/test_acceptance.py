@@ -158,7 +158,7 @@ def test_c05_scaling_and_inverse_weights():
         assert np.max(np.abs(scaled @ u - u)) <= 1e-8
         assert np.max(np.abs(v @ scaled - v)) <= 1e-8
         w = majorization_weights(rng, n, ceiling=1.0)
-        eta = sr.inverse_weight(A, w)
+        eta, _ = sr.inverse_weight(A, w)
         scaled_eta = np.exp(eta)[:, None] * A
         assert np.max(np.abs(sr.perron_pair(scaled_eta).weights() - w)) <= 1e-8
     with pytest.raises(InfeasibleWeightError):
@@ -167,7 +167,7 @@ def test_c05_scaling_and_inverse_weights():
     A3 = rng.uniform(0.2, 2.0, (3, 3))
     np.fill_diagonal(A3, 0.0)
     w3 = np.array([0.4, 0.35, 0.25])
-    eta3 = sr.inverse_weight(A3, w3)
+    eta3, _ = sr.inverse_weight(A3, w3)
     scaled3 = np.exp(eta3)[:, None] * A3
     assert np.max(np.abs(sr.perron_pair(scaled3).weights() - w3)) <= 1e-7
 

@@ -188,3 +188,59 @@ def test_invalid_solver_block_exits_1(tmp_path, capsys, solver):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def _gen(tmp_path, users, seed, cross):
+    path = tmp_path / f"gen_{users}_{seed}.json"
+    assert run(["gen", "--users", str(users), "--seed", str(seed),
+                "--cross-lo", str(cross[0]), "--cross-hi", str(cross[1]),
+                "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["cap", "cap:0"])
+@pytest.mark.parametrize(
+    "users, seed, cross", [(4, 2, (1e-4, 1e-3)), (3, 0, (1e-6, 1e-5))]
+)
+def test_relax_cap_weak_coupling_certified(tmp_path, capsys, users, seed, cross,
+                                           variant):
+    # weakly coupled channels once stalled the Perron pair computation
+    path = _gen(tmp_path, users, seed, cross)
+    assert run(["relax", "--scenario", path, "--variant", variant]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["certificate"]["rho"] - 1.0) <= 1e-8
+    assert doc["certificate"]["weight_residual"] <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "users, seed, cross", [(4, 3, (1e-4, 1e-3)), (3, 6, (1e-6, 1e-5))]
+)
+def test_relax_noiseless_never_lifts(tmp_path, capsys, users, seed, cross):
+    # gamma* lies on rho(diag(gamma*) F) = 1, where no power vector exists
+    path = _gen(tmp_path, users, seed, cross)
+    assert run(["relax", "--scenario", path, "--variant", "noiseless"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lifted_power"] is None
+    assert doc["certified_global"] is False
+    assert "lifted_objective_nats" not in doc
+
+
+@pytest.mark.parametrize("variant", ["cap", "cap:0"])
+def test_relax_cap_boundary_weight_exits_2(e1_file, capsys, variant):
+    # B[0] of e1 has a zero diagonal entry at index 1, where the weight is 1/2
+    assert run(["relax", "--scenario", e1_file, "--variant", variant]) == 2
+    err = capsys.readouterr().err
+    assert "majorization" in err and "index 1" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--polytope-K", "nan"), ("--polytope-K", "1e400"),
+     ("--multistart", "0"), ("--polytope-grid", "1")],
+)
+def test_invalid_solve_flag_exits_1(e1_file, capsys, flag, value):
+    algorithm = "gradient" if flag in ("--seed", "--multistart") else "lp"
+    code = run(["solve", "--scenario", e1_file, "--algorithm", algorithm,
+                flag, value])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")

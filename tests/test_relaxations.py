@@ -75,6 +75,18 @@ class TestTildeRelaxation:
         assert abs(sol.certificate.rho - 1.0) <= 1e-8
         assert np.max(np.abs(sol.certificate.weights() - e1.weights)) <= 1e-7
 
+    def test_one_perron_pair_per_relaxation(self, monkeypatch):
+        original = sr.spectral.perron_pair
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(sr.spectral, "perron_pair", counting)
+        sr.relaxed_max_tilde(random_instance(5, users=3))
+        assert len(calls) == 1
+
     def test_asymmetric_weights_solvable(self, e1):
         sol = sr.relaxed_max_tilde(e1, weights=[0.7, 0.3])
         scaled = sol.gamma_star[:, None] * sr.derive_matrices(e1).F_tilde
@@ -141,14 +153,9 @@ class TestNoiselessRelaxation:
         inst = random_instance(seed + 30, users=users)
         if users == 2:
             w = np.array([0.5, 0.5])
-            ctx = pytest.warns(RuntimeWarning)
         else:
             w = majorization_weights(rng, users)
-            ctx = warnings.catch_warnings()
-        with ctx:
-            if users > 2:
-                warnings.simplefilter("ignore", RuntimeWarning)
-            noiseless = sr.relaxed_max_noiseless(inst, weights=w)
+        noiseless = sr.relaxed_max_noiseless(inst, weights=w)
         tilde = sr.relaxed_max_tilde(inst, weights=w)
         assert noiseless.relaxed_value >= tilde.relaxed_value - 1e-8
         # each value re-verified against its own certificate

@@ -187,17 +187,6 @@ class TestSolveLinearized:
         assert report.lp_bound is not None
         assert report.lp_bound >= report.objective_value  # recorded gap >= 0
 
-    def test_explicit_start_vertex(self, e1):
-        poly = sr.build_polytope(e1, grid=2)
-        xi0, _ = sr.lp_solve(e1.weights, poly)
-        report = sr.solve_linearized(e1, poly, xi0)
-        assert_allclose(report.objective_value, LOG6, atol=1e-9)
-
-    def test_bad_start_rejected(self, e1):
-        poly = sr.build_polytope(e1, grid=2)
-        with pytest.raises(ValueError, match="polytope"):
-            sr.solve_linearized(e1, poly, poly.box_high + 1.0)
-
     @pytest.mark.parametrize("seed,users", [(s, 2) for s in range(6)] + [(0, 3), (1, 3)])
     def test_polytope_max_dominates_oracle(self, seed, users):
         inst = random_instance(seed + 300, users=users)

@@ -56,7 +56,7 @@ class TestPerronPair:
         assert_allclose(pair.weights(), [0.5, 0.5], atol=1e-12)
 
     def test_periodic_asymmetric_converges(self):
-        # plain power iteration oscillates here; the shift must fix it
+        # eigenvalues +2 and -2 share the spectral radius; the Perron root is +2
         pair = sr.perron_pair([[0.0, 4.0], [1.0, 0.0]])
         assert_allclose(pair.rho, 2.0, atol=1e-11)
 
@@ -65,13 +65,35 @@ class TestPerronPair:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         A = random_irreducible(rng, n, zero_diagonal=bool(seed % 2))
-        pair = sr.perron_pair(A)
-        scale = max(1.0, pair.rho)
-        assert np.max(np.abs(A @ pair.right - pair.rho * pair.right)) <= 1e-10 * scale
-        assert np.max(np.abs(pair.left @ A - pair.rho * pair.left)) <= 1e-10 * scale
-        assert_allclose(pair.weights().sum(), 1.0, atol=1e-12)
-        assert abs(pair.rho - sr.spectral_radius(A)) <= 1e-10 * scale
-        assert np.all(pair.right > 0) and np.all(pair.left > 0)
+        _assert_residuals_and_radius(A, sr.perron_pair(A))
+
+    @pytest.mark.parametrize(
+        "users, seed, cross", [(4, 2, (1e-4, 1e-3)), (3, 0, (1e-6, 1e-5))]
+    )
+    def test_weakly_coupled_scaled_constraint_matrix(self, users, seed, cross):
+        # diag(gamma*) B[l] at the binding-cap relaxation once stalled the pair
+        inst = sr.generate_instance(users, seed=seed, cross_range=cross).to_instance()
+        l = sr.default_cap_index(inst)
+        sol = sr.relaxed_max_noiseless(inst, cap_index=l)
+        A = sol.gamma_star[:, None] * sr.derive_matrices(inst).B[l]
+        _assert_residuals_and_radius(A, sr.perron_pair(A))
+
+
+def _recording(calls, name, fn):
+    def wrapper(A):
+        calls.append(name)
+        return fn(A)
+
+    return wrapper
+
+
+def _assert_residuals_and_radius(A, pair):
+    scale = max(1.0, pair.rho)
+    assert np.max(np.abs(A @ pair.right - pair.rho * pair.right)) <= 1e-10 * scale
+    assert np.max(np.abs(pair.left @ A - pair.rho * pair.left)) <= 1e-10 * scale
+    assert_allclose(pair.weights().sum(), 1.0, atol=1e-12)
+    assert abs(pair.rho - sr.spectral_radius(A)) <= 1e-10 * scale
+    assert np.all(pair.right > 0) and np.all(pair.left > 0)
 
 
 class TestScalingLowerBound:
@@ -153,6 +175,15 @@ class TestSupportingHyperplane:
         with pytest.raises(ValueError, match="radius"):
             sr.supporting_hyperplane(EXCHANGE, [0.5, 0.0])
 
+    def test_one_perron_pair_and_no_radius(self, monkeypatch):
+        calls = []
+        for name in ("perron_pair", "spectral_radius"):
+            monkeypatch.setattr(
+                sr.spectral, name, _recording(calls, name, getattr(sr.spectral, name))
+            )
+        sr.supporting_hyperplane([[0.1, 0.1], [0.2, 0.0]], np.log([5.0, 5.0]))
+        assert calls == ["perron_pair"]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_tangency(self, seed):
         rng = np.random.default_rng(300 + seed)
@@ -174,10 +205,16 @@ class TestDiagonalScaling:
         assert_allclose(pair.d2, np.full(2, 1.0 / math.sqrt(2.0)), atol=1e-10)
 
     def test_zero_diagonal_boundary_succeeds_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="majorization boundary"):
-            pair = sr.diagonal_scaling(EXCHANGE, [1.0, 1.0], [0.5, 0.5])
+        # the 2x2 zero-diagonal pattern attains (1/2, 1/2) exactly, silently
+        pair = sr.diagonal_scaling(EXCHANGE, [1.0, 1.0], [0.5, 0.5])
         scaled = pair.d1[:, None] * EXCHANGE * pair.d2[None, :]
         assert_allclose(scaled @ [1.0, 1.0], [1.0, 1.0], atol=1e-9)
+
+    def test_one_zero_diagonal_entry_boundary_infeasible(self):
+        # only the 2x2 zero-diagonal pattern attains a weight of exactly 1/2
+        with pytest.raises(InfeasibleWeightError) as exc:
+            sr.diagonal_scaling([[0.1, 0.1], [0.2, 0.0]], [1.0, 1.0], [0.5, 0.5])
+        assert exc.value.index == 1
 
     def test_unbalanced_weights_infeasible(self):
         with pytest.raises(InfeasibleWeightError) as exc:
@@ -207,13 +244,13 @@ class TestDiagonalScaling:
 
 class TestInverseWeight:
     def test_hand_example(self):
-        eta = sr.inverse_weight(np.full((2, 2), 0.1), [0.5, 0.5])
+        eta, _ = sr.inverse_weight(np.full((2, 2), 0.1), [0.5, 0.5])
         assert_allclose(eta, np.log([5.0, 5.0]), atol=1e-10)
 
     def test_exchange_identity(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            eta = sr.inverse_weight(EXCHANGE, [0.5, 0.5])
+            eta, _ = sr.inverse_weight(EXCHANGE, [0.5, 0.5])
         assert_allclose(eta, [0.0, 0.0], atol=1e-10)
 
     def test_exchange_unbalanced_infeasible(self):
@@ -231,13 +268,10 @@ class TestInverseWeight:
         B = random_irreducible(rng, n)
         u = rng.uniform(0.2, 1.0, n)
         w = u / u.sum()
-        eta = sr.inverse_weight(B, w)
+        eta, _ = sr.inverse_weight(B, w)
         scaled = np.exp(eta)[:, None] * B
         assert abs(sr.spectral_radius(scaled) - 1.0) <= 1e-10
         assert np.max(np.abs(sr.perron_pair(scaled).weights() - w)) <= 1e-7
-        # independent of the internal starting point, up to the pinned gauge
-        eta2 = sr.inverse_weight(B, w, d2_init=rng.uniform(0.5, 2.0, n))
-        assert np.max(np.abs(eta - eta2)) <= 1e-6
 
 
 def test_is_irreducible():
