@@ -1,11 +1,14 @@
-"""Dense revised simplex for small inequality-form LPs.
+"""Dense vertex simplex for small inequality-form LPs with box bounds.
 
-Solves  maximize c @ x  subject to  A x <= b, x >= 0  with b >= 0, so the
-all-slack basis is feasible and no phase-1 is needed. Entering and leaving
-variables follow Bland's smallest-index rule, which prevents cycling and
-makes the returned vertex deterministic. The basic solution is recomputed
-from a fresh factorization every pivot; problem sizes here are tiny, so
-numerical hygiene wins over speed.
+Solves  maximize c @ x  subject to  A x <= b, lo <= x <= hi  by walking the
+vertices of the polytope (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, 1997, ch. 3-4). A basis is a set of n active rows of
+``G x <= h`` with ``G = [A; I; -I]`` and ``h = [b; hi; -lo]``; the walk
+starts at the lower corner ``lo``, so no phase-1 is needed. The row that
+leaves and the row that enters follow Bland's smallest-index rule, which
+prevents cycling and makes the returned vertex deterministic. The vertex and
+its multipliers are recomputed from the n x n basis matrix every pivot, so a
+pivot costs O(mn + n^3) for m rows and n variables.
 """
 from __future__ import annotations
 
@@ -21,55 +24,49 @@ class SimplexError(RuntimeError):
     pass
 
 
-def simplex_max(c, A, b):
-    """Vertex maximizer of ``c @ x`` over ``{A x <= b, x >= 0}`` with ``b >= 0``.
+def simplex_max(c, A, b, lo, hi):
+    """Vertex maximizer of ``c @ x`` over ``{A x <= b, lo <= x <= hi}``.
 
-    Returns ``(x, value)``. Reduced costs and ratio-test pivots count as
-    positive above ``PIVOT_TOL``. Raises :class:`SimplexError` on an unbounded
-    ray (impossible when the feasible set is boxed) or after ``MAX_PIVOTS``
-    pivots.
+    ``lo`` must be finite and feasible (``A lo <= b`` within ``PIVOT_TOL``),
+    else :class:`ValueError`; entries of ``hi`` may be ``inf``. ``lo`` and
+    ``hi`` may be scalars. Returns ``(x, value)``. Multipliers and ratio-test
+    rates count as nonzero beyond ``PIVOT_TOL``. Raises :class:`SimplexError`
+    on an unbounded ray or after ``MAX_PIVOTS`` pivots.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = A.shape
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    if np.any(b < 0):
-        raise ValueError("simplex_max requires b >= 0 (slack basis must be feasible)")
+    G = np.vstack([A, np.eye(n), -np.eye(n)])
+    h = np.concatenate([b, hi, -lo])
+    if not np.all(np.isfinite(lo)) or np.any(G @ lo > h + PIVOT_TOL):
+        raise ValueError("simplex_max requires a feasible lower corner lo")
+    finite = np.isfinite(h)
 
-    # columns 0..n-1 structural, n..n+m-1 slack
-    full = np.hstack([A, np.eye(m)])
-    cost = np.concatenate([c, np.zeros(m)])
-    basis = list(range(n, n + m))
-
+    basis = list(range(m + n, m + 2 * n))  # the rows x >= lo
     for _ in range(MAX_PIVOTS):
-        B = full[:, basis]
-        x_b = np.linalg.solve(B, b)
-        pi = np.linalg.solve(B.T, cost[basis])
-        reduced = cost - pi @ full
-        in_basis = np.zeros(n + m, dtype=bool)
-        in_basis[basis] = True
-
-        entering = -1
-        for j in range(n + m):
-            if not in_basis[j] and reduced[j] > PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            x = np.zeros(n + m)
-            x[basis] = np.maximum(x_b, 0.0)
-            return x[:n], float(cost[basis] @ x_b)
-
-        direction = np.linalg.solve(B, full[:, entering])
-        candidates = np.flatnonzero(direction > PIVOT_TOL)
+        G_B = G[basis]
+        x = np.linalg.solve(G_B, h[basis])
+        lam = np.linalg.solve(G_B.T, c)
+        dropping = [k for k in range(n) if lam[k] < -PIVOT_TOL]
+        if not dropping:
+            return x, float(c @ x)
+        # Bland: release the active row of lowest index; the others stay active
+        k = min(dropping, key=lambda k: basis[k])
+        d = -np.linalg.solve(G_B, np.eye(n)[k])
+        rate = G @ d
+        blocking = finite & (rate > PIVOT_TOL)
+        blocking[basis] = False
+        candidates = np.flatnonzero(blocking)
         if candidates.size == 0:
             raise SimplexError("objective is unbounded over the feasible set")
-        ratios = x_b[candidates] / direction[candidates]
+        ratios = (h[candidates] - G[candidates] @ x) / rate[candidates]
         theta = float(np.min(ratios))
         window = theta + 1e-12 * (1.0 + abs(theta))
-        ties = candidates[ratios <= window]
-        # Bland: among the tied rows leave the basic variable of lowest index
-        leave_row = min(ties, key=lambda i: basis[i])
-        basis[leave_row] = entering
+        # Bland: among the tied blocking rows enter the one of lowest index
+        basis[k] = int(candidates[np.argmax(ratios <= window)])
     raise SimplexError(f"pivot budget exhausted after {MAX_PIVOTS} pivots")

@@ -156,7 +156,7 @@ def _report(inst, power, *, iterations, termination, lp_bound=None,
 
 
 def _phi(inst, p) -> float:
-    return channel.objective(inst.weights, channel.sir_of_power(inst, p, check_region=False))
+    return channel.objective(inst.weights, channel.sir_of_power(inst, p))
 
 
 def _snap(p, caps):
@@ -350,28 +350,19 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
 def lp_solve(objective, polytope: Polytope):
     """Exact vertex maximizer of a linear objective over the polytope.
 
+    The polytope goes to :func:`simplex_max` as it is: one row
+    ``normal @ xi <= normal @ anchor`` per hyperplane, and the box as bounds.
     Returns ``(vertex, value)``. Deterministic under Bland's rule; with a
-    zero objective the initial basic feasible vertex (the lower box corner)
-    is returned.
+    zero objective the starting vertex (the lower box corner) is returned.
+    Raises ``ValueError`` when that corner violates a hyperplane.
     """
     objective = np.asarray(objective, dtype=float).reshape(-1)
     n = polytope.dim
     if objective.shape != (n,):
         raise ValueError(f"objective must have length {n}")
-    width = polytope.box_high - polytope.box_low
-    rows = [h.normal for h in polytope.hyperplanes]
-    rhs = [float(h.normal @ (h.anchor - polytope.box_low)) for h in polytope.hyperplanes]
-    if rows:
-        A = np.vstack([np.array(rows), np.eye(n)])
-        b = np.concatenate([np.array(rhs), width])
-    else:
-        A = np.eye(n)
-        b = width.copy()
-    if np.any(b < -1e-9):
-        raise RuntimeError("polytope construction bug: lower box corner infeasible")
-    x, _ = simplex_max(objective, A, np.maximum(b, 0.0))
-    vertex = polytope.box_low + x
-    return vertex, float(objective @ vertex)
+    A = np.array([h.normal for h in polytope.hyperplanes]).reshape(-1, n)
+    b = np.array([h.normal @ h.anchor for h in polytope.hyperplanes])
+    return simplex_max(objective, A, b, polytope.box_low, polytope.box_high)
 
 
 def _lift_to_box(inst, xi):
@@ -417,9 +408,10 @@ def solve_linearized(
 ) -> SolverReport:
     """Successive linearization over the supporting-hyperplane polytope.
 
-    From the current vertex, maximize the first-order model of the sum rate
-    (an LP) to reach a strictly better vertex, lift it to powers, and stop
-    as soon as the lifted point is in the box and stationarity-classified.
+    From the current vertex, starting at the lower box corner, maximize the
+    first-order model of the sum rate (an LP) to reach a strictly better
+    vertex, lift it to powers, and stop as soon as the lifted point is in
+    the box and stationarity-classified.
     Vertex revisits and non-improving LP steps end the walk; the report then
     carries the best cap-clamped lift seen. ``lp_bound`` is a chordal upper
     bound on the sum rate over the polytope, which contains the truncated
@@ -427,7 +419,7 @@ def solve_linearized(
     """
     poly = polytope if polytope is not None else build_polytope(inst)
     w = inst.weights
-    xi, _ = lp_solve(np.zeros(poly.dim), poly)
+    xi = poly.box_low
     bound = _chord_bound(inst, poly)
 
     best_power = None

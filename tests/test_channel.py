@@ -88,6 +88,15 @@ class TestSirPowerMaps:
             sr.power_of_sir(e1, [11.0, 11.0])
         assert_allclose(exc.value.radius, 1.1, atol=1e-12)
 
+    def test_near_zero_noise_stays_in_region(self):
+        # rho(diag(sir(p)) F) < 1 holds for every p >= 0; at noise 1e-16 the
+        # computed radius rounds to one, which must not raise
+        sc = sr.generate_instance(3, seed=0, cross_range=(0.1, 1.0))
+        sc.noise = np.full(3, 1e-16)
+        inst = sc.to_instance()
+        gamma = sr.sir_of_power(inst, inst.caps)
+        assert np.all(gamma > 0) and np.all(np.isfinite(gamma))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trips(self, seed):
         rng = np.random.default_rng(seed)

@@ -2,10 +2,12 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sumrate import cli
+from sumrate.scenario import generate_instance, save_scenario, verify_report
 from conftest import DATA
 
 E1_PATH = f"{DATA}/e1.json"
@@ -210,6 +212,18 @@ def test_relax_cap_weak_coupling_certified(tmp_path, capsys, users, seed, cross,
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["certificate"]["rho"] - 1.0) <= 1e-8
     assert doc["certificate"]["weight_residual"] <= 1e-7
+
+
+def test_solve_lp_near_zero_noise(tmp_path):
+    # at noise 1e-16 the radius at the polytope's boundary anchors rounds to one
+    sc = generate_instance(3, seed=0, cross_range=(0.1, 1.0))
+    sc.noise = np.full(3, 1e-16)
+    path = tmp_path / "tiny_noise.json"
+    save_scenario(sc, path)
+    out = tmp_path / "report.json"
+    assert run(["solve", "--scenario", str(path), "--algorithm", "lp",
+                "--out", str(out)]) == 0
+    verify_report(sc, json.loads(out.read_text()))
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,19 @@ def _polytope_vertices(poly):
     return vertices
 
 
+@pytest.mark.parametrize("users, seed", [(None, 0), (2, 47), (3, 48)])
+def test_lp_solve_matches_vertex_enumeration(users, seed, e1):
+    # optimality, not only feasibility: no enumerated vertex beats the LP
+    inst = e1 if users is None else random_instance(seed, users=users)
+    poly = sr.build_polytope(inst, grid=3)
+    vertices = np.array(_polytope_vertices(poly))
+    rng = np.random.default_rng(seed)
+    objectives = [inst.weights] + [rng.uniform(-1.0, 1.0, inst.users) for _ in range(5)]
+    for c in objectives:
+        _, value = sr.lp_solve(c, poly)
+        assert abs(value - float(np.max(vertices @ c))) <= 1e-9
+
+
 class TestSolveLinearized:
     def test_reference_converges_to_corner(self, e1):
         report = sr.solve_linearized(e1)
