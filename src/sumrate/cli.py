@@ -84,8 +84,7 @@ def _emit_report(doc: dict, out) -> None:
         scenario.save_report(doc, out)
 
 
-def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None,
-                        kkt_tol=solvers.KKT_TOL):
+def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None):
     region = channel.in_achievable_region(inst, rep.sir)
     doc = {
         "version": scenario.SCHEMA_VERSION,
@@ -96,7 +95,7 @@ def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None,
         "sir": rep.sir.tolist(),
         "objective_nats": rep.objective_value,
         "kkt": {
-            "satisfied": bool(rep.kkt_residual <= kkt_tol),
+            "satisfied": bool(rep.kkt_residual <= solvers.KKT_TOL),
             "residual": rep.kkt_residual,
             "s_max": list(rep.active_sets[0]),
             "s_in": list(rep.active_sets[1]),
@@ -123,8 +122,7 @@ def _cmd_solve(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     inst = sc.to_instance()
     opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART,
-            "polytope_grid": DEFAULT_GRID, "polytope_K": None,
-            "kkt_tol": solvers.KKT_TOL, **sc.solver}
+            "polytope_grid": DEFAULT_GRID, "polytope_K": None, **sc.solver}
     for key in ("seed", "multistart", "polytope_grid", "polytope_K"):
         value = getattr(args, key)
         if value is not None:
@@ -138,21 +136,18 @@ def _cmd_solve(args) -> int:
         )
     seed, multistart = opts["seed"], opts["multistart"]
     grid, poly_K = opts["polytope_grid"], opts["polytope_K"]
-    kkt_tol = float(opts["kkt_tol"])
     if algorithm == "gradient":
-        rep = solvers.solve_gradient_multistart(
-            inst, starts=multistart, seed=seed, kkt_tol=kkt_tol
-        )
+        rep = solvers.solve_gradient_multistart(inst, starts=multistart, seed=seed)
         doc = _solver_report_dict(sc, inst, "gradient", rep, seed=seed,
-                                  multistart=multistart, kkt_tol=kkt_tol)
+                                  multistart=multistart)
     elif algorithm == "linearized":
         poly = solvers.build_polytope(inst, K=poly_K, grid=grid)
-        rep = solvers.solve_linearized(inst, poly, kkt_tol=kkt_tol)
-        doc = _solver_report_dict(sc, inst, "linearized", rep, kkt_tol=kkt_tol)
+        rep = solvers.solve_linearized(inst, poly)
+        doc = _solver_report_dict(sc, inst, "linearized", rep)
     else:
         poly = solvers.build_polytope(inst, K=poly_K, grid=grid)
-        rep = solvers.solve_lp_relax(inst, poly, kkt_tol=kkt_tol)
-        doc = _solver_report_dict(sc, inst, "lp", rep, kkt_tol=kkt_tol)
+        rep = solvers.solve_lp_relax(inst, poly)
+        doc = _solver_report_dict(sc, inst, "lp", rep)
     if args.oracle_check:
         oracle = solvers.oracle_grid(inst, resolution=args.resolution)
         doc["oracle"] = {

@@ -16,8 +16,7 @@ Scenario schema (JSON object, version 1)::
       "solver": {                             # optional, every key optional
         "algorithm": "gradient" | "linearized" | "lp",
         "seed": <int >= 0>, "multistart": <int >= 1>,
-        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null,
-        "kkt_tol": <finite number > 0>
+        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null
       }
     }
 
@@ -80,7 +79,6 @@ _SOLVER_RULES = {
     "polytope_K": (
         lambda x: x is None or _is_finite_number(x), "must be a finite number or null"
     ),
-    "kkt_tol": (lambda x: _is_finite_number(x) and x > 0, "must be a finite number > 0"),
 }
 _SOLVER_KEYS = tuple(_SOLVER_RULES)
 

@@ -75,13 +75,14 @@ def _boundary_masks(p, caps):
     return at_zero, at_cap
 
 
-def kkt_classify(inst: channel.ChannelInstance, p, *, tol=KKT_TOL) -> KktReport:
+def kkt_classify(inst: channel.ChannelInstance, p) -> KktReport:
     """First-order sign conditions for a local maximum on the cap box.
 
-    The gradient must be >= -tol at capped coordinates, zero within tol at
-    interior coordinates, and <= tol at zeroed coordinates; the residual is
-    the largest violation. Coordinates within ``BOUNDARY_TOL`` of a bound
-    count as on it.
+    The residual is the largest violation of the sign conditions: a
+    negative gradient at a capped coordinate, a nonzero one at an interior
+    coordinate, a positive one at a zeroed coordinate. The point is
+    ``satisfied`` when the residual is at most ``KKT_TOL``. Coordinates
+    within ``BOUNDARY_TOL`` of a bound count as on it.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     caps = inst.caps
@@ -109,7 +110,7 @@ def kkt_classify(inst: channel.ChannelInstance, p, *, tol=KKT_TOL) -> KktReport:
         s_max=s_max,
         s_in=s_in,
         s_0=s_0,
-        satisfied=bool(residual <= tol),
+        satisfied=bool(residual <= KKT_TOL),
         residual=residual,
         gradient=grad,
     )
@@ -135,11 +136,10 @@ class SolverReport:
         _freeze(self, "power", "sir")
 
 
-def _report(inst, power, *, iterations, termination, lp_bound=None,
-            kkt_tol=KKT_TOL) -> SolverReport:
+def _report(inst, power, *, iterations, termination, lp_bound=None) -> SolverReport:
     power = np.clip(np.asarray(power, dtype=float).reshape(-1), 0.0, inst.caps)
     sir = channel.sir_of_power(inst, power)
-    kkt = kkt_classify(inst, power, tol=kkt_tol)
+    kkt = kkt_classify(inst, power)
     if termination == "lp_optimal" and not kkt.satisfied:
         termination = "stalled"  # an LP optimum off KKT is not an optimum
     return SolverReport(
@@ -170,7 +170,6 @@ def solve_gradient(
     inst: channel.ChannelInstance,
     p0=None,
     *,
-    kkt_tol=KKT_TOL,
     callback=None,
 ) -> SolverReport:
     """Projected gradient ascent on the cap box.
@@ -201,7 +200,7 @@ def solve_gradient(
     termination = "max_iters"
     iterations = GRADIENT_MAX_ITERS
     for k in range(GRADIENT_MAX_ITERS):
-        kkt = kkt_classify(inst, p, tol=kkt_tol)
+        kkt = kkt_classify(inst, p)
         if kkt.satisfied:
             termination = "kkt_satisfied"
             iterations = k
@@ -235,13 +234,11 @@ def solve_gradient(
             termination = "stalled"
             iterations = k
             break
-    return _report(
-        inst, p, iterations=iterations, termination=termination, kkt_tol=kkt_tol
-    )
+    return _report(inst, p, iterations=iterations, termination=termination)
 
 
 def solve_gradient_multistart(
-    inst: channel.ChannelInstance, *, starts=16, seed=0, **options
+    inst: channel.ChannelInstance, *, starts=16, seed=0
 ) -> SolverReport:
     """Best of ``starts`` gradient runs: the cap corner plus seeded random
     interior starts. Ties break toward the lexicographically smallest power."""
@@ -251,7 +248,7 @@ def solve_gradient_multistart(
     best = None
     for s in range(starts):
         p0 = inst.caps if s == 0 else rng.uniform(0.0, 1.0, inst.users) * inst.caps
-        report = solve_gradient(inst, p0, **options)
+        report = solve_gradient(inst, p0)
         if (
             best is None
             or report.objective_value > best.objective_value
@@ -270,14 +267,14 @@ class Polytope:
 
     Feasible set: ``box_low <= xi <= box_high`` and ``h.evaluate(xi) <= 0``
     for every supporting hyperplane h. Contains every log-SIR vector of the
-    region with coordinates above ``-K``.
+    region with coordinates above ``-K``. Each hyperplane's ``anchor`` is
+    the boundary point it supports the region at.
     """
 
     hyperplanes: tuple
     box_low: np.ndarray
     box_high: np.ndarray
     K: float
-    anchors: tuple
 
     def __post_init__(self):
         _freeze(self, "box_low", "box_high")
@@ -302,10 +299,10 @@ class Polytope:
 def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     """Supporting-hyperplane polytope from a boundary power grid.
 
-    ``grid`` gives the number of equidistant points per power axis (scalar or
-    per-axis); anchors are the grid points with at least one coordinate at
-    its cap, each contributing one hyperplane per active cap. ``K`` bounds
-    the log-SIR box from below and must exceed ``log R``; the default is
+    ``grid`` is the number of equidistant points on every power axis;
+    anchors are the grid points with at least one coordinate at its cap,
+    each contributing one hyperplane per active cap. ``K`` bounds the
+    log-SIR box from below and must exceed ``log R``; the default is
     ``log R + 10``.
     """
     der = channel.derive_matrices(inst)
@@ -316,25 +313,22 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     K = float(K)
     if K <= log_r:
         raise ValueError(f"K must exceed log(max radius) = {log_r!r}")
-    counts = np.broadcast_to(np.asarray(grid, dtype=int), (n,))
-    if np.any(counts < 2):
+    m = int(grid)
+    if m < 2:
         raise ValueError("grid must have at least 2 points per axis")
     floor = np.linalg.solve(math.exp(K) * np.eye(n) - der.F, der.v)
     axes = []
     for i in range(n):
-        m_i = int(counts[i])
         # j = 0 is exactly the cap; the floor endpoint itself is excluded
-        vals = [(j * floor[i] + (m_i - j) * inst.caps[i]) / m_i for j in range(m_i)]
+        vals = [(j * floor[i] + (m - j) * inst.caps[i]) / m for j in range(m)]
         vals[0] = inst.caps[i]
         axes.append(np.array(vals))
-    anchors = []
     hyperplanes = []
-    for jtuple in itertools.product(*(range(int(m)) for m in counts)):
+    for jtuple in itertools.product(range(m), repeat=n):
         if min(jtuple) != 0:
             continue
         p = np.array([axes[i][j] for i, j in enumerate(jtuple)])
         zeta = np.log(channel.sir_of_power(inst, p))
-        anchors.append(zeta)
         for l, j in enumerate(jtuple):
             if j == 0:
                 hyperplanes.append(spectral.supporting_hyperplane(der.B[l], zeta))
@@ -343,7 +337,6 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
         box_low=np.full(n, -K),
         box_high=np.log(der.gamma_bar),
         K=K,
-        anchors=tuple(anchors),
     )
 
 
@@ -368,19 +361,19 @@ def lp_solve(objective, polytope: Polytope):
 def _lift_to_box(inst, xi):
     """Power candidate for a log-SIR point, clamped into the cap box.
 
-    Returns ``(raw, clamped, in_region)``: ``raw`` is the exact lifted power
-    when the point lies strictly inside the SIR region, else None (the point
-    is first pulled inside along its ray, a defensive branch for polytope
-    vertices beyond the region surface).
+    Returns ``(raw, clamped)``: ``raw`` is the exact lifted power, which is
+    nonnegative, when the point lies strictly inside the SIR region, else
+    None (the point is first pulled inside along its ray, a defensive branch
+    for polytope vertices beyond the region surface).
     """
     der = channel.derive_matrices(inst)
     gamma = np.exp(np.asarray(xi, dtype=float).reshape(-1))
     rho = spectral.spectral_radius(gamma[:, None] * der.F)
     if rho < 1.0 - 1e-9:
         raw = channel.power_of_sir(inst, gamma)
-        return raw, np.clip(raw, 0.0, inst.caps), True
+        return raw, np.clip(raw, 0.0, inst.caps)
     pulled = channel.power_of_sir(inst, gamma * (1.0 - 1e-6) / rho)
-    return None, np.clip(pulled, 0.0, inst.caps), False
+    return None, np.clip(pulled, 0.0, inst.caps)
 
 
 def _chord_bound(inst, polytope: Polytope) -> float:
@@ -401,10 +394,7 @@ def _chord_bound(inst, polytope: Polytope) -> float:
 
 
 def solve_linearized(
-    inst: channel.ChannelInstance,
-    polytope: Optional[Polytope] = None,
-    *,
-    kkt_tol=KKT_TOL,
+    inst: channel.ChannelInstance, polytope: Optional[Polytope] = None
 ) -> SolverReport:
     """Successive linearization over the supporting-hyperplane polytope.
 
@@ -431,7 +421,7 @@ def solve_linearized(
         if value > best_value:
             best_power, best_value = p_clamped, value
 
-    _, clamped, _ = _lift_to_box(inst, xi)
+    _, clamped = _lift_to_box(inst, xi)
     consider(clamped)
     visited = {xi.tobytes()}
     steps = 0
@@ -446,14 +436,13 @@ def solve_linearized(
             break
         xi = nxt
         steps = k + 1
-        raw, clamped, in_region = _lift_to_box(inst, xi)
-        if in_region and np.all(raw >= -1e-12) and np.all(raw <= inst.caps * (1 + 1e-12)):
+        raw, clamped = _lift_to_box(inst, xi)
+        if raw is not None and np.all(raw <= inst.caps * (1 + 1e-12)):
             p_exact = _snap(np.clip(raw, 0.0, inst.caps), inst.caps)
-            kkt = kkt_classify(inst, p_exact, tol=kkt_tol)
-            if kkt.satisfied:
+            if kkt_classify(inst, p_exact).satisfied:
                 return _report(
                     inst, p_exact, iterations=steps, termination="kkt_satisfied",
-                    lp_bound=bound, kkt_tol=kkt_tol,
+                    lp_bound=bound,
                 )
         consider(clamped)
         if xi.tobytes() in visited:
@@ -461,16 +450,12 @@ def solve_linearized(
             break
         visited.add(xi.tobytes())
     return _report(
-        inst, best_power, iterations=steps, termination=termination,
-        lp_bound=bound, kkt_tol=kkt_tol,
+        inst, best_power, iterations=steps, termination=termination, lp_bound=bound
     )
 
 
 def solve_lp_relax(
-    inst: channel.ChannelInstance,
-    polytope: Optional[Polytope] = None,
-    *,
-    kkt_tol=KKT_TOL,
+    inst: channel.ChannelInstance, polytope: Optional[Polytope] = None
 ) -> SolverReport:
     """One-shot LP relaxation: maximize ``w @ xi`` over the polytope.
 
@@ -481,10 +466,8 @@ def solve_lp_relax(
     """
     poly = polytope if polytope is not None else build_polytope(inst)
     xi, lp_value = lp_solve(inst.weights, poly)
-    raw, clamped, in_region = _lift_to_box(inst, xi)
-    projected = not in_region or raw is None or bool(
-        np.any(raw < -1e-12) or np.any(raw > inst.caps * (1 + 1e-12))
-    )
+    raw, clamped = _lift_to_box(inst, xi)
+    projected = raw is None or bool(np.any(raw > inst.caps * (1 + 1e-12)))
     power = _snap(clamped, inst.caps)
     return _report(
         inst,
@@ -492,7 +475,6 @@ def solve_lp_relax(
         iterations=1,
         termination="projected" if projected else "lp_optimal",
         lp_bound=float(lp_value),
-        kkt_tol=kkt_tol,
     )
 
 

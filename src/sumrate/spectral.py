@@ -311,13 +311,16 @@ def diagonal_scaling(A, u, v) -> ScalingPair:
     _majorization_guard(diag, w)
 
     d2 = np.ones(n)
-    d1 = np.ones(n)
+    Y = A @ (d2 * u)
     residual = math.inf
     for _ in range(SCALING_MAX_SWEEPS):
-        d1 = u / (A @ (d2 * u))
-        d2 = v / (A.T @ (d1 * v))
-        r_right = np.max(np.abs(d1 * (A @ (d2 * u)) - u))
-        r_left = np.max(np.abs(d2 * (A.T @ (d1 * v)) - v))
+        # each product serves one update and one residual: 2 per sweep
+        d1 = u / Y
+        X = A.T @ (d1 * v)
+        d2 = v / X
+        Y = A @ (d2 * u)
+        r_right = np.max(np.abs(d1 * Y - u))
+        r_left = np.max(np.abs(d2 * X - v))
         residual = max(float(r_right), float(r_left))
         if residual <= SCALING_TOL:
             break
@@ -341,8 +344,10 @@ def inverse_weight(B, w) -> tuple[np.ndarray, PerronPair]:
     ``v = w``: the scaled matrix ``diag(d1*d2) B`` is similar to the
     row-stochastic ``D1 B D2``, and the additive gauge is pinned by
     renormalizing the radius to one. ``pair`` is computed from the scaled
-    matrix alone, independently of the scaling, and its products must match
-    ``w`` within ``WEIGHT_VERIFY_TOL``.
+    matrix alone, independently of the scaling; it is returned only when its
+    radius is one within ``ANCHOR_TOL`` (so ``eta`` is a valid anchor for
+    :func:`supporting_hyperplane`) and its products match ``w`` within
+    ``WEIGHT_VERIFY_TOL``; else :class:`ConvergenceError` is raised.
     """
     B = _check_matrix(B, "B")
     n = B.shape[0]
@@ -354,6 +359,11 @@ def inverse_weight(B, w) -> tuple[np.ndarray, PerronPair]:
     eta = np.log(scaling.d1 * scaling.d2)
     eta -= math.log(spectral_radius(np.exp(eta)[:, None] * B))
     pair = perron_pair(np.exp(eta)[:, None] * B)
+    if abs(pair.rho - 1.0) > ANCHOR_TOL:
+        raise ConvergenceError(
+            f"inverse weight verification failed: radius {pair.rho!r} != 1",
+            residual=abs(pair.rho - 1.0),
+        )
     drift = float(np.max(np.abs(pair.weights() - w)))
     if drift > WEIGHT_VERIFY_TOL:
         raise ConvergenceError(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sumrate import cli
+from sumrate import channel, cli
 from sumrate.scenario import generate_instance, save_scenario, verify_report
 from conftest import DATA
 
@@ -152,8 +152,7 @@ def test_unwritable_out_exits_1(e1_file, tmp_path, capsys):
 
 def test_algorithm_from_scenario_solver_block(tmp_path, capsys):
     raw = json.loads(open(E1_PATH).read())
-    raw["solver"] = {"algorithm": "gradient", "seed": 0, "multistart": 4,
-                     "kkt_tol": 1e-7}
+    raw["solver"] = {"algorithm": "gradient", "seed": 0, "multistart": 4}
     path = tmp_path / "with_algo.json"
     path.write_text(json.dumps(raw))
     assert run(["solve", "--scenario", str(path)]) == 0
@@ -176,7 +175,7 @@ def test_multitone_solve_unsupported(tmp_path, capsys):
     assert "tones" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("solver", [{"kkt_tol": -1}, {"seed": 1.5}, {"algorithm": 5}])
+@pytest.mark.parametrize("solver", [{"multistart": 0}, {"seed": 1.5}, {"algorithm": 5}])
 def test_invalid_solver_block_exits_1(tmp_path, capsys, solver):
     raw = json.loads(open(E1_PATH).read())
     raw["solver"] = solver
@@ -224,6 +223,22 @@ def test_solve_lp_near_zero_noise(tmp_path):
     assert run(["solve", "--scenario", str(path), "--algorithm", "lp",
                 "--out", str(out)]) == 0
     verify_report(sc, json.loads(out.read_text()))
+
+
+def test_bounds_near_zero_noise(tmp_path):
+    # at noise 1e-16 the uniform SIR 1/R sits within rounding of rho(diag(gamma) F) = 1
+    sc = generate_instance(3, seed=1, cross_range=(0.1, 1.0))
+    sc.noise = np.full(3, 1e-16)
+    path = tmp_path / "tiny_noise.json"
+    save_scenario(sc, path)
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--scenario", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    power = np.asarray(doc["uniform_sir_power"])
+    inst = sc.to_instance()
+    assert np.all(power <= inst.caps)
+    sir = channel.sir_of_power(inst, power)
+    assert_allclose(sir * doc["max_radius"], 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

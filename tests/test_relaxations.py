@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -88,8 +89,9 @@ class TestTildeRelaxation:
         assert len(calls) == 1
 
     def test_asymmetric_weights_solvable(self, e1):
-        sol = sr.relaxed_max_tilde(e1, weights=[0.7, 0.3])
-        scaled = sol.gamma_star[:, None] * sr.derive_matrices(e1).F_tilde
+        inst = dataclasses.replace(e1, weights=[0.7, 0.3])
+        sol = sr.relaxed_max_tilde(inst)
+        scaled = sol.gamma_star[:, None] * sr.derive_matrices(inst).F_tilde
         assert np.max(np.abs(sr.perron_pair(scaled).weights() - [0.7, 0.3])) <= 1e-7
 
     @pytest.mark.parametrize("seed", range(8))
@@ -116,7 +118,7 @@ class TestNoiselessRelaxation:
 
     def test_two_user_unbalanced_weights_infeasible(self, e1):
         with pytest.raises(InfeasibleWeightError):
-            sr.relaxed_max_noiseless(e1, weights=[0.7, 0.3])
+            sr.relaxed_max_noiseless(dataclasses.replace(e1, weights=[0.7, 0.3]))
 
     def test_relaxation_chain_on_reference(self, e1):
         with warnings.catch_warnings():
@@ -130,10 +132,11 @@ class TestNoiselessRelaxation:
         assert tilde.relaxed_value >= oracle_log - 1e-9
 
     def test_cap_variant_pins_nominated_cap(self, e1):
-        sol = sr.relaxed_max_noiseless(e1, weights=[0.7, 0.3], cap_index=0)
+        inst = dataclasses.replace(e1, weights=[0.7, 0.3])
+        sol = sr.relaxed_max_noiseless(inst, cap_index=0)
         assert sol.lifted_power is not None
-        assert_allclose(sol.lifted_power[0], e1.caps[0], atol=1e-9)
-        scaled = sol.gamma_star[:, None] * sr.derive_matrices(e1).B[0]
+        assert_allclose(sol.lifted_power[0], inst.caps[0], atol=1e-9)
+        scaled = sol.gamma_star[:, None] * sr.derive_matrices(inst).B[0]
         assert abs(sr.spectral_radius(scaled) - 1.0) <= 1e-8
 
     def test_default_cap_index_is_largest_radius(self):
@@ -150,13 +153,13 @@ class TestNoiselessRelaxation:
     def test_ordering_invariant(self, seed):
         rng = np.random.default_rng(800 + seed)
         users = 2 + seed % 5  # L in 2..6
-        inst = random_instance(seed + 30, users=users)
         if users == 2:
             w = np.array([0.5, 0.5])
         else:
             w = majorization_weights(rng, users)
-        noiseless = sr.relaxed_max_noiseless(inst, weights=w)
-        tilde = sr.relaxed_max_tilde(inst, weights=w)
+        inst = dataclasses.replace(random_instance(seed + 30, users=users), weights=w)
+        noiseless = sr.relaxed_max_noiseless(inst)
+        tilde = sr.relaxed_max_tilde(inst)
         assert noiseless.relaxed_value >= tilde.relaxed_value - 1e-8
         # each value re-verified against its own certificate
         for sol in (noiseless, tilde):

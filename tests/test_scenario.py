@@ -68,10 +68,10 @@ class TestLoading:
             ({"tones": 0}, "tones"),
             ({"tones": True}, "tones"),
             ({"gains": [[[1.0, 0.1], [0.1, 1.0]]] * 2}, "gains"),
-            ({"solver": {"kkt_tol": -1}}, "solver.kkt_tol"),
-            ({"solver": {"kkt_tol": 0}}, "solver.kkt_tol"),
-            ({"solver": {"kkt_tol": "nan"}}, "solver.kkt_tol"),
-            ({"solver": {"kkt_tol": math.nan}}, "solver.kkt_tol"),
+            ({"solver": {"kkt_tol": 1e-7}}, "solver"),  # an unknown key
+            ({"version": 2}, "version"),
+            ({"noise_unit": "watts"}, "noise_unit"),
+            ({"solver": [1]}, "solver"),
             ({"solver": {"seed": 1.5}}, "solver.seed"),
             ({"solver": {"seed": -1}}, "solver.seed"),
             ({"solver": {"seed": True}}, "solver.seed"),
@@ -92,7 +92,7 @@ class TestLoading:
     @pytest.mark.parametrize("polytope_K", [None, 5, 12.5])
     def test_valid_solver_block_kept(self, polytope_K):
         solver = {"algorithm": "lp", "seed": 0, "multistart": 1,
-                  "polytope_grid": 2, "polytope_K": polytope_K, "kkt_tol": 1e-7}
+                  "polytope_grid": 2, "polytope_K": polytope_K}
         assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
 
     def test_missing_file(self, tmp_path):

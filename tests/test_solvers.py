@@ -82,17 +82,18 @@ class TestSolveGradient:
 class TestPolytope:
     def test_reference_polytope(self, e1):
         poly = sr.build_polytope(e1, grid=2)
-        assert len(poly.anchors) == 3  # grid points not strictly below the caps
+        anchors = {h.anchor.tobytes() for h in poly.hyperplanes}
+        assert len(anchors) == 3  # grid points not strictly below the caps
         assert len(poly.hyperplanes) == 4  # both caps active at (1,1)
         assert_allclose(poly.box_high, np.log([10.0, 10.0]))
         assert_allclose(poly.box_low, np.full(2, -poly.K))
         corner = np.log(sr.sir_of_power(e1, e1.caps))
-        assert any(np.allclose(a, corner, atol=1e-12) for a in poly.anchors)
+        assert any(np.allclose(h.anchor, corner, atol=1e-12) for h in poly.hyperplanes)
 
     def test_anchors_on_surface_and_inside(self, e1):
         poly = sr.build_polytope(e1, grid=3)
         der = sr.derive_matrices(e1)
-        for zeta in poly.anchors:
+        for zeta in (h.anchor for h in poly.hyperplanes):
             radii = [
                 sr.spectral_radius(np.exp(zeta)[:, None] * B_l) for B_l in der.B
             ]
@@ -130,7 +131,7 @@ class TestLpSolve:
         poly = sr.build_polytope(e1, grid=2)
         boxed = sr.Polytope(
             hyperplanes=(), box_low=poly.box_low, box_high=poly.box_high,
-            K=poly.K, anchors=(),
+            K=poly.K,
         )
         vertex, value = sr.lp_solve([0.5, 0.5], boxed)
         assert_allclose(vertex, poly.box_high, atol=1e-9)
