@@ -64,6 +64,7 @@ from .spectral import (
     Hyperplane,
     PerronPair,
     ScalingPair,
+    constraint_radii,
     diagonal_scaling,
     fk_scaling_lower_bound,
     fk_z_upper_bound,

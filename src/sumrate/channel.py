@@ -8,13 +8,18 @@ and never reappears downstream. From the effective gains we build
 * ``F``: zero-diagonal normalized interference matrix, ``g_lj / g_ll`` off
   the diagonal,
 * ``v``: normalized noise ``n_l / g_ll``,
+* ``caps``: the instance's caps, kept exact for the radii,
 * ``F_tilde``: ``F`` plus the diagonal ``v_l / cap_l`` (cap-aware relaxation
   matrix),
 * ``B[l] = F + outer(v, e_l) / cap_l``: per-user constraint matrices whose
   scaled radii characterize the image of the cap box under the SIR map,
 * ``gamma_bar = caps / v``: componentwise SIR ceiling,
 * ``radii``: the constraint radii ``rho(B[l])``, computed on first use and
-  cached with the rest.
+  cached with the rest. Every ``B[l]`` is a rank-one update of ``F``, so all
+  L radii come from one eigendecomposition of ``F`` and the secular equation
+  (:func:`spectral.constraint_radii`); each is accepted only through its
+  Collatz-Wielandt bracket, and a user whose bracket fails gets a dense
+  eigensolve of ``B[l]`` instead.
 
 The SIR map is ``sir(p) = p / (F p + v)``; its inverse on the region
 ``{sir >= 0 : rho(diag(sir) F) < 1}`` is
@@ -97,14 +102,21 @@ class DerivedMatrices:
 
     F: np.ndarray
     v: np.ndarray
+    caps: np.ndarray
     F_tilde: np.ndarray
     B: tuple
     gamma_bar: np.ndarray
 
     @functools.cached_property
     def radii(self) -> np.ndarray:
-        """Constraint radii ``rho(B[l])``, computed on first use."""
-        return _frozen([spectral.spectral_radius(B_l) for B_l in self.B])
+        """Constraint radii ``rho(B[l])``, computed on first use.
+
+        One :func:`spectral.constraint_radii` call on ``F``, ``v`` and the
+        exact ``caps``: each radius is the midpoint of a Collatz-Wielandt
+        bracket at most ``spectral.RADIUS_BRACKET_TOL`` wide (relative), or
+        a dense eigensolve of ``B[l]`` where the bracket fails.
+        """
+        return _frozen(spectral.constraint_radii(self.F, self.v, self.caps))
 
     @property
     def max_radius(self) -> float:
@@ -133,6 +145,7 @@ def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
     derived = DerivedMatrices(
         F=_frozen(F),
         v=_frozen(v),
+        caps=inst.caps,
         F_tilde=_frozen(F + np.diag(v / inst.caps)),
         B=tuple(B),
         gamma_bar=_frozen(inst.caps / v),

@@ -89,7 +89,7 @@ def _format_number(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite numbers")
     return format(x, ".17g")
 
@@ -109,6 +109,11 @@ def canonical_json(value) -> str:
         if isinstance(v, np.ndarray):
             v = v.tolist()
         if isinstance(v, (list, tuple)):
+            if v and set(map(type, v)) == {float}:
+                # flat list of Python floats (every .tolist() row): one pass
+                if not all(map(math.isfinite, v)):
+                    raise ValueError("cannot serialize non-finite numbers")
+                return "[" + ",".join([format(x, ".17g") for x in v]) + "]"
             return "[" + ",".join(emit(item) for item in v) + "]"
         if isinstance(v, dict):
             items = sorted(v.items())

@@ -1,8 +1,10 @@
 """Dense spectral primitives for nonnegative matrices.
 
 Everything in this module operates on small dense square matrices with
-nonnegative entries: the spectral radius, Perron eigenvector pairs (one
-dense eigensolve, accepted only when its eigen-residuals pass), the
+nonnegative entries: the spectral radius, the radii of all rank-one updates
+``F + outer(v, e_l) / cap_l`` from one eigendecomposition of ``F`` (each
+accepted only through its Collatz-Wielandt bracket), Perron eigenvector
+pairs (one dense eigensolve, accepted only when its eigen-residuals pass), the
 classical product bounds on the spectral radius of diagonally scaled
 matrices, supporting hyperplanes of the log-convex level set
 ``log rho(diag(exp(xi)) B) <= 0``, and two-sided diagonal scalings with
@@ -32,6 +34,7 @@ __all__ = [
     "Hyperplane",
     "ScalingPair",
     "spectral_radius",
+    "constraint_radii",
     "perron_pair",
     "is_irreducible",
     "fk_scaling_lower_bound",
@@ -46,6 +49,8 @@ SCALING_MAX_SWEEPS = 10_000
 MAJORIZATION_SLACK = 1e-12
 ANCHOR_TOL = 1e-8
 WEIGHT_VERIFY_TOL = 1e-7
+RADIUS_BRACKET_TOL = 1e-12
+SECULAR_MAX_ITERS = 100
 
 
 def _check_matrix(A, name="matrix") -> np.ndarray:
@@ -113,6 +118,83 @@ def spectral_radius(A) -> float:
     """
     A = _check_matrix(A)
     return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
+def constraint_radii(F, v, caps) -> np.ndarray:
+    """Radii ``rho(F + outer(v, e_l) / caps[l])`` for every l, from one ``eig(F)``.
+
+    Each matrix is a rank-one update of ``F``. For ``lam > rho(F)`` its
+    radius is the root of the secular equation
+    ``g_l(lam) = e_l.(lam I - F)^-1 v = caps[l]``; with ``F = V diag(mu) V^-1``
+    and ``c = V * (V^-1 v)`` that is ``g_l(lam) = sum_k c[l, k] / (lam - mu_k)``,
+    decreasing and convex. All users run safeguarded Newton on
+    ``1/g_l - 1/caps[l]`` at once: started from the dominant pole's term alone,
+    kept inside a bracket between ``rho(F)`` and the user's largest row sum,
+    bisected whenever a step leaves it, and stopped when a step is at the
+    rounding level or stops shrinking near the root.
+
+    The iteration count decides nothing. Each root ``lam`` is accepted only
+    through the Collatz-Wielandt bracket of ``x = (lam I - F)^-1 v``, which
+    encloses the radius for any positive ``x``: ``x`` must be entrywise
+    positive and ``max_i (B x)_i / x_i - min_i (B x)_i / x_i`` at most
+    ``RADIUS_BRACKET_TOL`` times the max. The radius is the bracket's
+    midpoint. Users that fail the bracket get :func:`spectral_radius` of
+    their matrix.
+
+    ``caps`` are taken as given; recovering them from the constraint matrices
+    loses digits on badly scaled instances.
+    """
+    F = _check_matrix(F, "F")
+    n = F.shape[0]
+    v = _checked(v, (n,), "v")
+    caps = _checked(caps, (n,), "caps")
+    try:
+        with np.errstate(all="ignore"):
+            radii = _secular_radii(F, v, caps)
+    except np.linalg.LinAlgError:  # defective F: its eigenvectors are singular
+        radii = np.full(n, np.nan)
+    for l in np.flatnonzero(np.isnan(radii)):
+        B_l = F.copy()
+        B_l[:, l] += v / caps[l]
+        radii[l] = spectral_radius(B_l)
+    return radii
+
+
+def _secular_radii(F, v, caps) -> np.ndarray:
+    """Bracket-certified secular roots of :func:`constraint_radii`; NaN where
+    the bracket fails."""
+    eps = np.finfo(float).eps
+    mu, V = np.linalg.eig(F)
+    w = np.linalg.solve(V, v.astype(complex))
+    c = V * w
+    k = int(np.argmax(mu.real))
+    lo = np.full(len(v), mu[k].real)
+    hi = np.max(F.sum(axis=1) + v / caps[:, None], axis=1)  # row sums of B[l]
+    lam = lo + np.maximum(c[:, k].real, 0.0) / caps
+    lam = np.where((lam > lo) & (lam < hi), lam, hi)
+    last = np.full(len(v), np.inf)
+    done = np.zeros(len(v), dtype=bool)
+    for _ in range(SECULAR_MAX_ITERS):
+        d = 1.0 / (lam[:, None] - mu)
+        cd = c * d
+        g = cd.sum(axis=1).real
+        dg = -(cd * d).sum(axis=1).real
+        left = g > caps
+        lo = np.where(left, lam, lo)
+        hi = np.where(left, hi, lam)
+        newton = lam + g * (caps - g) / (caps * dg)
+        step = np.abs(newton - lam)
+        done |= (step <= 2 * eps * lam) | ((step >= last) & (step <= 1e-8 * lam))
+        last = step
+        inside = (newton > lo) & (newton < hi)
+        lam = np.where(done, lam, np.where(inside, newton, 0.5 * (lo + hi)))
+        if done.all():
+            break
+    X = (V @ (w[:, None] / (lam - mu[:, None]))).real  # column l: x of user l
+    ratio = (F @ X + np.outer(v, np.diag(X) / caps)) / X
+    top, bottom = ratio.max(axis=0), ratio.min(axis=0)
+    certified = np.all(X > 0, axis=0) & (top - bottom <= RADIUS_BRACKET_TOL * top)
+    return np.where(certified, 0.5 * (top + bottom), np.nan)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,76 @@ class TestLoading:
             sr.load_scenario(tmp_path / "nope.json")
 
 
+def _reference_canonical_json(value) -> str:
+    """The element-by-element emitter that canonical_json must match byte for byte."""
+
+    def number(x):
+        if isinstance(x, bool):
+            raise ValueError("unexpected boolean in numeric position")
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
+        if not np.isfinite(x):
+            raise ValueError("cannot serialize non-finite numbers")
+        return format(x, ".17g")
+
+    def emit(v):
+        if v is None:
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, (int, float, np.integer, np.floating)):
+            return number(v)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return "[" + ",".join(emit(item) for item in v) + "]"
+        if isinstance(v, dict):
+            items = sorted(v.items())
+            return "{" + ",".join(json.dumps(str(k)) + ":" + emit(val) for k, val in items) + "}"
+        raise ValueError(f"cannot serialize {type(v).__name__}")
+
+    return emit(value) + "\n"
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("users", [2, 8, 96])
+    def test_scenarios_match_reference_emitter(self, users):
+        doc = sr.generate_instance(users, seed=users).canonical_dict()
+        assert sr.canonical_json(doc) == _reference_canonical_json(doc)
+
+    def test_reports_match_reference_emitter(self):
+        tiny = 5e-324  # smallest subnormal
+        report = {
+            "power": np.array([1.0, -0.0, tiny, 2.2250738585072014e-308 / 3]),
+            "nested": {"b": [1, 2.5, None, True], "a": {"deep": [[0.1, 0.2], [0.3]]}},
+            "ints": [np.int64(3), 7, -1, 10**20],
+            "scalars": [np.float64(0.1), np.float32(0.1), np.int32(-4)],
+            "mixed": [1.0, 2, np.float64(3.0)],
+            "empty": [],
+            "tuple": (0.5, -0.0),
+            "flag": False,
+            "label": "kkt_satisfied",
+        }
+        assert sr.canonical_json(report) == _reference_canonical_json(report)
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, math.nan], [math.inf], {"x": [0.5, -math.inf]}, np.array([math.nan])]
+    )
+    def test_non_finite_raises_the_same_error(self, bad):
+        with pytest.raises(ValueError, match="cannot serialize non-finite numbers"):
+            _reference_canonical_json(bad)
+        with pytest.raises(ValueError, match="cannot serialize non-finite numbers"):
+            sr.canonical_json(bad)
+
+    def test_reference_scenario_hash_pinned(self):
+        assert sr.load_scenario(E1_PATH).sha256() == (
+            "1278e2af8022ca26cdb89fb20d19169d91f7445d8c0c963c6591549b7d64a82a"
+        )
+
+
 class TestCanonicalForm:
     def test_save_load_idempotent(self, tmp_path):
         first = sr.save_scenario(sr.load_scenario(E1_PATH), tmp_path / "a.json")

@@ -40,6 +40,92 @@ class TestSpectralRadius:
             sr.spectral_radius([[1.0, -0.1], [0.1, 1.0]])
 
 
+COUPLING_BANDS = [(0.02, 0.3), (1e-4, 1e-3), (1e-6, 1e-5), (0.1, 1.0), (0.5, 2.0)]
+
+
+def _eigvals_radii(der):
+    return np.array([sr.spectral_radius(B_l) for B_l in der.B])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records every spectral_radius call made from inside the module."""
+    calls = []
+    monkeypatch.setattr(
+        sr.spectral,
+        "spectral_radius",
+        _recording(calls, "fallback", sr.spectral.spectral_radius),
+    )
+    return calls
+
+
+class TestConstraintRadii:
+    @pytest.mark.parametrize("users", [2, 3, 8, 32, 96])
+    @pytest.mark.parametrize("cross", COUPLING_BANDS)
+    def test_matches_eigvals_without_fallback(self, fallbacks, users, cross):
+        der = sr.derive_matrices(
+            sr.generate_instance(users, seed=users, cross_range=cross).to_instance()
+        )
+        expected = _eigvals_radii(der)
+        radii = sr.constraint_radii(der.F, der.v, der.caps)
+        assert not fallbacks  # every radius certified by its bracket
+        assert_allclose(radii, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_roots_next_to_the_pole_without_fallback(self, fallbacks, seed):
+        # near-zero noise puts every root within rounding of rho(F), where
+        # Newton leaves the bracket and the bisection steps take over
+        sc = sr.generate_instance(4, seed=seed, cross_range=(0.1, 1.0))
+        sc.noise[:] = 1e-16
+        der = sr.derive_matrices(sc.to_instance())
+        expected = _eigvals_radii(der)
+        radii = sr.constraint_radii(der.F, der.v, der.caps)
+        assert not fallbacks
+        assert_allclose(radii, expected, rtol=1e-12, atol=0)
+
+    def test_reference_instance(self, e1):
+        der = sr.derive_matrices(e1)
+        assert_allclose(sr.constraint_radii(der.F, der.v, der.caps), 0.2, atol=1e-14)
+
+    def test_badly_scaled_against_high_precision_reference(self):
+        gains = [[1.0, 1e8, 1e-3], [1e-8, 1.0, 1e-3], [1e-3, 1e-3, 1.0]]
+        inst = sr.ChannelInstance(
+            gains=gains, noise=[0.1] * 3, caps=[1.0] * 3, weights=[1 / 3] * 3
+        )
+        der = sr.derive_matrices(inst)
+        # 50-digit roots of det(lam I - B[l]), rounded to double
+        reference = [3162.3283236855146, 4.7474865163751788, 21.664684440068189]
+        assert_allclose(
+            sr.constraint_radii(der.F, der.v, der.caps), reference, rtol=1e-12, atol=0
+        )
+
+    def test_wrong_eigenvectors_fall_back_to_eigvals(self, monkeypatch, fallbacks):
+        der = sr.derive_matrices(sr.generate_instance(5, seed=3).to_instance())
+        expected = _eigvals_radii(der)
+        eig = np.linalg.eig
+
+        def wrong_vectors(A):
+            values, vectors = eig(A)
+            return values, vectors[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eig", wrong_vectors)
+        radii = sr.constraint_radii(der.F, der.v, der.caps)
+        assert len(fallbacks) == 5
+        assert np.array_equal(radii, expected)
+
+    def test_defective_matrix_falls_back(self):
+        # a nilpotent Jordan block has no eigenvector basis
+        F = np.array([[0.0, 1.0], [0.0, 0.0]])
+        radii = sr.constraint_radii(F, [1.0, 1.0], [1.0, 1.0])
+        assert_allclose(radii, [(1 + math.sqrt(5)) / 2, 1.0], rtol=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sr.constraint_radii(np.zeros((2, 2)), [1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            sr.constraint_radii(np.zeros((2, 2)), [1.0, 1.0], [1.0])
+
+
 class TestPerronPair:
     def test_exchange_matrix(self):
         pair = sr.perron_pair(EXCHANGE)
