@@ -246,7 +246,24 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
     """
     der = derive_matrices(inst)
     p = _checked(p, (inst.users,), "p", positive=False)
-    denom = der.F @ p + der.v
-    gamma = p / denom
-    jac = (np.eye(inst.users) - gamma[:, None] * der.F) / denom[:, None]
-    return jac.T @ (inst.weights / (1.0 + gamma))
+    return _gradient_rows(der, inst.weights, p[None])[0]
+
+
+# Row-wise maps for a stack P of power vectors, one per row, unchecked. Every
+# product is a stack of matrix-vector products (``F @ P[:, :, None]``), which
+# keeps the summation order of the one-vector product, so each row is
+# bitwise equal to the map applied to that row alone; ``P @ F.T`` is not.
+
+
+def _objective_rows(der: DerivedMatrices, weights, P) -> np.ndarray:
+    """Weighted sum rate at every row of ``P``."""
+    gamma = P / ((der.F @ P[:, :, None])[:, :, 0] + der.v)
+    return (np.log1p(gamma)[:, None, :] @ weights)[:, 0]
+
+
+def _gradient_rows(der: DerivedMatrices, weights, P) -> np.ndarray:
+    """:func:`objective_gradient_p` at every row of ``P``."""
+    denom = (der.F @ P[:, :, None])[:, :, 0] + der.v
+    gamma = P / denom
+    jac = (np.eye(P.shape[1]) - gamma[:, :, None] * der.F) / denom[:, :, None]
+    return (jac.transpose(0, 2, 1) @ (weights / (1.0 + gamma))[:, :, None])[:, :, 0]

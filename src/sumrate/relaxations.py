@@ -137,8 +137,16 @@ def relaxed_max_tilde(inst: channel.ChannelInstance) -> RelaxedSolution:
 
 
 def default_cap_index(inst: channel.ChannelInstance) -> int:
-    """Heuristic binding cap: the user with the largest constraint radius."""
-    return int(np.argmax(channel.derive_matrices(inst).radii))
+    """Heuristic binding cap: the user with the largest constraint radius.
+
+    Radii within ``spectral.RADIUS_BRACKET_TOL`` (relative) of the largest
+    count as tied, and the lowest tied index wins, so that near-zero noise,
+    where every radius is ``rho(F)`` within rounding, does not leave the
+    choice to the last bits.
+    """
+    radii = channel.derive_matrices(inst).radii
+    top = radii.max()
+    return int(np.flatnonzero(top - radii <= spectral.RADIUS_BRACKET_TOL * top)[0])
 
 
 def relaxed_max_noiseless(

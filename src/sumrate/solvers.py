@@ -75,6 +75,15 @@ def _boundary_masks(p, caps):
     return at_zero, at_cap
 
 
+def _violation(grad, at_zero, at_cap):
+    """Entrywise violation of the sign conditions of :func:`kkt_classify`."""
+    return np.where(
+        at_cap,
+        np.maximum(0.0, -grad),
+        np.where(at_zero, np.maximum(0.0, grad), np.abs(grad)),
+    )
+
+
 def kkt_classify(inst: channel.ChannelInstance, p) -> KktReport:
     """First-order sign conditions for a local maximum on the cap box.
 
@@ -95,17 +104,7 @@ def kkt_classify(inst: channel.ChannelInstance, p) -> KktReport:
     s_max = tuple(int(i) for i in np.flatnonzero(at_cap))
     s_0 = tuple(int(i) for i in np.flatnonzero(at_zero & ~at_cap))
     s_in = tuple(int(i) for i in np.flatnonzero(~at_cap & ~at_zero))
-    violation = np.zeros_like(p)
-    cap_idx = list(s_max)
-    zero_idx = list(s_0)
-    in_idx = list(s_in)
-    if cap_idx:
-        violation[cap_idx] = np.maximum(0.0, -grad[cap_idx])
-    if zero_idx:
-        violation[zero_idx] = np.maximum(0.0, grad[zero_idx])
-    if in_idx:
-        violation[in_idx] = np.abs(grad[in_idx])
-    residual = float(np.max(violation)) if p.size else 0.0
+    residual = float(np.max(_violation(grad, at_zero, at_cap))) if p.size else 0.0
     return KktReport(
         s_max=s_max,
         s_in=s_in,
@@ -166,11 +165,89 @@ def _snap(p, caps):
     return np.where(caps - p <= eps, caps, p)
 
 
+class _Lanes(NamedTuple):
+    """Per-start outcome of :func:`_ascend`, one row or entry per start."""
+
+    power: np.ndarray  # (S, L) final points
+    value: np.ndarray  # (S,) objective at the final points
+    iterations: np.ndarray  # (S,)
+    termination: list  # S labels
+
+
+def _ascend(inst, P, callback=None) -> _Lanes:
+    """Projected gradient ascent from every row of ``P`` in lockstep.
+
+    Each row (lane) runs the iteration of :func:`solve_gradient` with its
+    own step, Armijo test and termination, and leaves the batch once it
+    terminates. The maps are evaluated on the stack of live lanes by
+    ``channel``'s row-wise kernels, so every lane is bitwise equal to a run
+    from its start alone. ``P`` must lie in the cap box; it is not checked.
+    """
+    der = channel.derive_matrices(inst)
+    caps, weights = inst.caps, inst.weights
+    P = np.array(P, dtype=float)
+    phi = channel._objective_rows(der, weights, P)
+    iterations = np.full(P.shape[0], GRADIENT_MAX_ITERS)
+    termination = ["max_iters"] * P.shape[0]
+
+    def stop(lanes, label, k):
+        iterations[lanes] = k
+        for s in lanes:
+            termination[s] = label
+
+    def notify(lanes):
+        if callback is not None:
+            for s in lanes:
+                callback(P[s].copy(), float(phi[s]))
+
+    live = np.arange(P.shape[0])
+    notify(live)
+    for k in range(GRADIENT_MAX_ITERS):
+        if not live.size:
+            break
+        p = P[live]
+        a = channel._gradient_rows(der, weights, p)
+        at_zero, at_cap = _boundary_masks(p, caps)
+        satisfied = np.max(_violation(a, at_zero, at_cap), axis=1) <= KKT_TOL
+        b = np.where(at_zero & (a < 0), 0.0, a)
+        b = np.where(at_cap & (b > 0), 0.0, b)
+        stuck = ~satisfied & ~np.any(b != 0.0, axis=1)
+        stop(live[satisfied], "kkt_satisfied", k)
+        stop(live[stuck], "stalled", k)
+        go = ~(satisfied | stuck)
+        live, p, a, b = live[go], p[go], a[go], b[go]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_up = np.where(b > 0, (caps - p) / b, np.inf)
+            t_down = np.where(b < 0, p / -b, np.inf)
+        t = np.minimum(np.min(t_up, axis=1), np.min(t_down, axis=1))
+        # sum of squared gradient entries over free coords, lane by lane
+        slope = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+        accepted = np.zeros(live.size, dtype=bool)
+        search = np.flatnonzero(t >= MIN_STEP)
+        while search.size:
+            candidate = _snap(
+                np.clip(p[search] + t[search, None] * b[search], 0.0, caps), caps
+            )
+            value = channel._objective_rows(der, weights, candidate)
+            ok = value >= phi[live[search]] + ARMIJO * t[search] * slope[search]
+            lanes = live[search[ok]]
+            P[lanes], phi[lanes] = candidate[ok], value[ok]
+            notify(lanes)
+            accepted[search[ok]] = True
+            search = search[~ok]
+            t[search] *= BACKTRACK_SHRINK
+            search = search[t[search] >= MIN_STEP]
+        stop(live[~accepted], "stalled", k)
+        live = live[accepted]
+    return _Lanes(P, phi, iterations, termination)
+
+
 def solve_gradient(
     inst: channel.ChannelInstance,
     p0=None,
     *,
     callback=None,
+    _lane=None,
 ) -> SolverReport:
     """Projected gradient ascent on the cap box.
 
@@ -182,73 +259,54 @@ def solve_gradient(
     stationarity-classified point, after ``GRADIENT_MAX_ITERS`` iterations, or
     with a stall when no increasing step of at least ``MIN_STEP`` exists.
     ``callback(p, value)`` runs once at the start and after every accepted
-    step.
+    step. This is the one-lane case of the lockstep kernel behind
+    :func:`solve_gradient_multistart`, which passes ``_lane=(lanes, s)``,
+    lane ``s`` of its finished lockstep run, to have that lane's report
+    built here without ascending again, so every start is still one
+    ``solve_gradient`` call.
     """
-    caps = inst.caps
-    if p0 is None:
-        p = caps.copy()
-    else:
-        p = np.asarray(p0, dtype=float).reshape(-1).copy()
-        if p.shape != caps.shape:
-            raise ValueError(f"p0 must have length {inst.users}")
-        if np.any(p < -BOUNDARY_TOL) or np.any(p > caps + BOUNDARY_TOL):
-            raise ValueError("p0 must lie in the cap box")
-        p = np.clip(p, 0.0, caps)
-    phi = _phi(inst, p)
-    if callback is not None:
-        callback(p.copy(), phi)
-    termination = "max_iters"
-    iterations = GRADIENT_MAX_ITERS
-    for k in range(GRADIENT_MAX_ITERS):
-        kkt = kkt_classify(inst, p)
-        if kkt.satisfied:
-            termination = "kkt_satisfied"
-            iterations = k
-            break
-        a = kkt.gradient
-        at_zero, at_cap = _boundary_masks(p, caps)
-        b = np.where(at_zero & (a < 0), 0.0, a)
-        b = np.where(at_cap & (b > 0), 0.0, b)
-        if not np.any(b != 0.0):
-            termination = "stalled"
-            iterations = k
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_up = np.where(b > 0, (caps - p) / b, np.inf)
-            t_down = np.where(b < 0, p / -b, np.inf)
-        t_max = float(min(np.min(t_up), np.min(t_down)))
-        slope = float(a @ b)  # sum of squared gradient entries over free coords
-        t = t_max
-        accepted = False
-        while t >= MIN_STEP:
-            candidate = _snap(np.clip(p + t * b, 0.0, caps), caps)
-            value = _phi(inst, candidate)
-            if value >= phi + ARMIJO * t * slope:
-                p, phi = candidate, value
-                accepted = True
-                if callback is not None:
-                    callback(p.copy(), phi)
-                break
-            t *= BACKTRACK_SHRINK
-        if not accepted:
-            termination = "stalled"
-            iterations = k
-            break
-    return _report(inst, p, iterations=iterations, termination=termination)
+    if _lane is None:
+        caps = inst.caps
+        if p0 is None:
+            p = caps.copy()
+        else:
+            p = np.asarray(p0, dtype=float).reshape(-1).copy()
+            if p.shape != caps.shape:
+                raise ValueError(f"p0 must have length {inst.users}")
+            if np.any(p < -BOUNDARY_TOL) or np.any(p > caps + BOUNDARY_TOL):
+                raise ValueError("p0 must lie in the cap box")
+            p = np.clip(p, 0.0, caps)
+        _lane = (_ascend(inst, p[None], callback), 0)
+    lanes, s = _lane
+    return _report(
+        inst,
+        lanes.power[s],
+        iterations=lanes.iterations[s],
+        termination=lanes.termination[s],
+    )
 
 
 def solve_gradient_multistart(
     inst: channel.ChannelInstance, *, starts=16, seed=0
 ) -> SolverReport:
     """Best of ``starts`` gradient runs: the cap corner plus seeded random
-    interior starts. Ties break toward the lexicographically smallest power."""
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    interior starts. Ties break toward the lexicographically smallest power,
+    then toward the earlier start.
+
+    All starts run in lockstep as one ``(starts, L)`` array; each start's
+    result is bitwise equal to ``solve_gradient`` from that start alone, and
+    its report is built by ``solve_gradient`` from the finished lane.
+    ``starts`` must be an ``int`` >= 1 (not a ``bool``), the rule of the
+    CLI's ``multistart``.
+    """
+    if isinstance(starts, bool) or not isinstance(starts, int) or starts < 1:
+        raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
     rng = np.random.default_rng(seed)
+    random_starts = rng.uniform(0.0, 1.0, (starts - 1, inst.users)) * inst.caps
+    lanes = _ascend(inst, np.vstack([inst.caps, random_starts]))
     best = None
     for s in range(starts):
-        p0 = inst.caps if s == 0 else rng.uniform(0.0, 1.0, inst.users) * inst.caps
-        report = solve_gradient(inst, p0)
+        report = solve_gradient(inst, _lane=(lanes, s))
         if (
             best is None
             or report.objective_value > best.objective_value

@@ -157,6 +157,19 @@ class TestNoiselessRelaxation:
             radii = [sr.spectral_radius(B_l) for B_l in sr.derive_matrices(inst).B]
             assert sr.default_cap_index(inst) == int(np.argmax(radii))
 
+    @pytest.mark.parametrize("users, seed", [(2, 3), (2, 4), (4, 0), (4, 1)])
+    def test_default_cap_index_breaks_ties_toward_lowest_index(self, users, seed):
+        # at near-zero noise every constraint radius is rho(F) within rounding
+        sc = sr.generate_instance(users, seed=seed, cross_range=(0.1, 1.0))
+        sc.noise = np.full(users, 1e-16)
+        inst = sc.to_instance()
+        eigvals = np.array(
+            [sr.spectral_radius(B_l) for B_l in sr.derive_matrices(inst).B]
+        )
+        tied = eigvals.max() - eigvals <= sr.spectral.RADIUS_BRACKET_TOL * eigvals.max()
+        assert tied.all()
+        assert sr.default_cap_index(inst) == 0
+
     def test_cap_index_range_checked(self, e1):
         with pytest.raises(ValueError):
             sr.relaxed_max_noiseless(e1, cap_index=5)

@@ -71,6 +71,12 @@ class TestSolveGradient:
         report = sr.solve_gradient_multistart(inst, starts=16, seed=seed)
         assert report.objective_value >= oracle.best_value - 1e-3
 
+    @pytest.mark.parametrize("starts", [True, False, 2.0, 0, -1, "3", None])
+    def test_multistart_starts_must_be_a_positive_int(self, e1, starts):
+        # the rule of the CLI's multistart option: an int >= 1, not a bool
+        with pytest.raises(ValueError, match="starts"):
+            sr.solve_gradient_multistart(e1, starts=starts)
+
     def test_multistart_deterministic(self):
         inst = random_instance(23, users=2)
         a = sr.solve_gradient_multistart(inst, starts=8, seed=5)
