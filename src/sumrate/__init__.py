@@ -4,8 +4,8 @@ The model is one carrier shared by L transmit/receive pairs (a CDMA cell
 or one tone of a DSL binder). Spectral machinery for the achievable SIR
 region, analytic bounds and closed-form relaxations, three solvers
 (projected gradient, successive linearization over a supporting-hyperplane
-polytope, LP relaxation), a brute-force grid oracle, and a scenario/report
-file layer with a CLI.
+polytope, and the exact log-SIR relaxation by a fixed-point iteration), a
+brute-force grid oracle, and a scenario/report file layer with a CLI.
 """
 
 from .channel import (

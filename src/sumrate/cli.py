@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Commands write canonical JSON reports to stdout (or ``--out``). Exit codes:
-0 success, 1 usage, schema or file errors, 2 infeasibility (majorization or
-SIR region violations).
+0 success, 1 usage, schema or file errors, 2 infeasibility (majorization
+violations or zero weights in a relaxation, SIR region violations).
 """
 from __future__ import annotations
 
@@ -145,8 +145,7 @@ def _cmd_solve(args) -> int:
         rep = solvers.solve_linearized(inst, poly)
         doc = _solver_report_dict(sc, inst, "linearized", rep)
     else:
-        poly = solvers.build_polytope(inst, K=poly_K, grid=grid)
-        rep = solvers.solve_lp_relax(inst, poly)
+        rep = solvers.solve_lp_relax(inst)
         doc = _solver_report_dict(sc, inst, "lp", rep)
     if args.oracle_check:
         oracle = solvers.oracle_grid(inst, resolution=args.resolution)

@@ -429,13 +429,22 @@ def inverse_weight(B, w) -> tuple[np.ndarray, PerronPair]:
     matrix alone, independently of the scaling; it is returned only when its
     radius is one within ``ANCHOR_TOL`` (so ``eta`` is a valid anchor for
     :func:`supporting_hyperplane`) and its products match ``w`` within
-    ``WEIGHT_VERIFY_TOL``; else :class:`ConvergenceError` is raised.
+    ``WEIGHT_VERIFY_TOL``; else :class:`ConvergenceError` is raised. A zero
+    weight is never a Perron product: :class:`InfeasibleWeightError` names
+    the first one.
     """
     B = _check_matrix(B, "B")
     n = B.shape[0]
-    w = _checked(w, (n,), "w")
+    w = _checked(w, (n,), "w", positive=False)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("w must sum to one")
+    zero = np.flatnonzero(w == 0)
+    if zero.size:
+        raise InfeasibleWeightError(
+            f"weight 0 at index {zero[0]} is not attainable (Perron products "
+            "of an irreducible matrix are positive)",
+            index=int(zero[0]),
+        )
     w = w / w.sum()
     scaling = diagonal_scaling(B, np.ones(n), w)
     eta = np.log(scaling.d1 * scaling.d2)

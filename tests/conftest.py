@@ -40,3 +40,14 @@ def majorization_weights(rng, n, ceiling=0.48):
         w = u / u.sum()
         if w.max() < ceiling:
             return w
+
+
+def log_sir_grid_best(inst, resolution):
+    """Best log-SIR objective ``w . log sir`` over a uniform power grid."""
+    der = sr.derive_matrices(inst)
+    axes = [np.linspace(0.0, float(c), resolution) for c in inst.caps]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, inst.users)
+    gamma = mesh / (mesh @ der.F.T + der.v)
+    with np.errstate(divide="ignore"):
+        logs = np.where(gamma > 0.0, np.log(np.where(gamma > 0, gamma, 1.0)), -np.inf)
+    return float(np.max(logs @ inst.weights))

@@ -17,7 +17,7 @@ import pytest
 import sumrate as sr
 from sumrate import cli
 from sumrate.exceptions import InfeasibleWeightError
-from conftest import DATA, majorization_weights
+from conftest import DATA, log_sir_grid_best, majorization_weights
 
 E1_PATH = f"{DATA}/e1.json"
 LOG6 = math.log(6.0)
@@ -226,16 +226,6 @@ def test_c08_bound_sandwich(solved_suite, e1):
         assert report.objective_value <= report.bounds.upper + 1e-9
 
 
-def _log_sir_grid_best(inst, resolution):
-    der = sr.derive_matrices(inst)
-    axes = [np.linspace(0.0, float(c), resolution) for c in inst.caps]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, inst.users)
-    gamma = mesh / (mesh @ der.F.T + der.v)
-    with np.errstate(divide="ignore"):
-        logs = np.where(gamma > 0.0, np.log(np.where(gamma > 0, gamma, 1.0)), -np.inf)
-    return float(np.max(logs @ inst.weights))
-
-
 @_announce(9, "relaxation chain")
 def test_c09_relaxation_chain(e1):
     instances = []
@@ -264,7 +254,7 @@ def test_c09_relaxation_chain(e1):
             noiseless = sr.relaxed_max_noiseless(inst)
         tilde = sr.relaxed_max_tilde(inst)
         assert noiseless.relaxed_value >= tilde.relaxed_value - 1e-9
-        oracle_log = _log_sir_grid_best(inst, 41 if inst.users == 3 else 201)
+        oracle_log = log_sir_grid_best(inst, 41 if inst.users == 3 else 201)
         assert tilde.relaxed_value >= oracle_log - 1e-6
         if tilde.certified_global:
             lift = np.clip(tilde.lifted_power, 0.0, inst.caps)

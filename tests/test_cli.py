@@ -94,6 +94,20 @@ def test_relax_majorization_failure_exits_2(tmp_path, capsys):
     assert "majorization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["tilde", "noiseless", "cap"])
+def test_relax_zero_weight_exits_2_naming_the_index(tmp_path, capsys, variant):
+    # a zero weight is a valid scenario but never a Perron product
+    raw = {"version": 1, "users": 3,
+           "gains": [[1.0, 0.2, 0.2], [0.2, 1.0, 0.2], [0.2, 0.2, 1.0]],
+           "noise": [0.1, 0.1, 0.1], "caps": [1.0, 1.0, 1.0],
+           "weights": [0.6, 0.4, 0.0]}
+    path = tmp_path / "zero_weight.json"
+    path.write_text(json.dumps(raw))
+    assert run(["relax", "--scenario", str(path), "--variant", variant]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and "index 2" in err
+
+
 def test_relax_cap_variant(tmp_path, capsys):
     raw = json.loads(open(E1_PATH).read())
     raw["weights"] = [0.7, 0.3]
@@ -214,10 +228,21 @@ def test_relax_cap_weak_coupling_certified(tmp_path, capsys, users, seed, cross,
 
 
 def test_solve_lp_near_zero_noise(tmp_path):
-    # at noise 1e-16 the radius at the polytope's boundary anchors rounds to one
+    # noise 1e-16 is a slow case of the fixed point (186 steps here)
     sc = generate_instance(3, seed=0, cross_range=(0.1, 1.0))
     sc.noise = np.full(3, 1e-16)
     path = tmp_path / "tiny_noise.json"
+    save_scenario(sc, path)
+    out = tmp_path / "report.json"
+    assert run(["solve", "--scenario", str(path), "--algorithm", "lp",
+                "--out", str(out)]) == 0
+    verify_report(sc, json.loads(out.read_text()))
+
+
+def test_solve_lp_at_16_users(tmp_path):
+    # the fixed point costs O(L^2) per step, so lp runs at any L
+    sc = generate_instance(16, seed=0)
+    path = tmp_path / "l16.json"
     save_scenario(sc, path)
     out = tmp_path / "report.json"
     assert run(["solve", "--scenario", str(path), "--algorithm", "lp",

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sumrate as sr
-from conftest import random_instance
+from conftest import log_sir_grid_best, random_instance
 
 LOG6 = math.log(6.0)
 
@@ -237,7 +237,8 @@ class TestSolveLpRelax:
         assert_allclose(report.power, [1.0, 1.0], atol=1e-9)
         assert_allclose(report.objective_value, LOG6, atol=1e-9)
         assert math.log(5.0) - 1e-9 <= report.lp_bound <= math.log(10.0) + 1e-9
-        assert report.termination in ("lp_optimal", "projected", "stalled")
+        assert report.termination in ("lp_optimal", "stalled")
+        assert report.iterations == 1  # the caps are already the fixed point
         assert report.bounds.lower - 1e-9 <= report.objective_value
 
     def test_single_user_weight_pins_its_cap(self, e1):
@@ -246,23 +247,60 @@ class TestSolveLpRelax:
         )
         report = sr.solve_lp_relax(inst)
         assert_allclose(report.power[0], inst.caps[0], atol=1e-9)
+        assert report.power[1] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_feasible_output(self, seed):
         inst = random_instance(seed + 60, users=3)
-        report = sr.solve_lp_relax(inst, sr.build_polytope(inst, grid=3))
+        report = sr.solve_lp_relax(inst)
         assert np.all(report.power >= 0) and np.all(report.power <= inst.caps)
         assert report.objective_value <= report.bounds.upper + 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("cross", [(0.02, 0.3), (0.1, 1.0), (1e-3, 1e-2)])
+    @pytest.mark.parametrize("users", [2, 3])
+    def test_bound_is_the_exact_log_sir_maximum(self, users, cross, seed):
+        # no grid point beats it, and the cap-aware relaxation dominates it
+        inst = sr.generate_instance(users, seed=seed, cross_range=cross).to_instance()
+        report = sr.solve_lp_relax(inst)
+        grid = log_sir_grid_best(inst, 201 if users == 2 else 41)
+        assert report.lp_bound >= grid - 1e-12
+        assert report.lp_bound <= sr.relaxed_max_tilde(inst).relaxed_value + 1e-12
+        assert report.termination in ("lp_optimal", "stalled")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_weight_user_gets_exactly_zero(self, seed):
+        # the zero-weight instances of acceptance criterion 11
+        base = sr.generate_instance(3, seed=400 + seed).to_instance()
+        inst = sr.ChannelInstance(
+            gains=base.gains, noise=base.noise, caps=base.caps,
+            weights=[0.6, 0.4, 0.0],
+        )
+        report = sr.solve_lp_relax(inst)
+        assert report.power[2] == 0.0
+        assert np.all(report.power[:2] > 0)
+
+    def test_builds_no_polytope(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lp must not build or solve a polytope")
+
+        monkeypatch.setattr(sr.solvers, "build_polytope", refuse)
+        monkeypatch.setattr(sr.solvers, "lp_solve", refuse)
+        report = sr.solve_lp_relax(random_instance(61, users=3))
+        assert report.termination in ("lp_optimal", "stalled")
+
+    def test_no_projected_label(self):
+        assert "projected" not in sr.solvers.TERMINATIONS
 
 
 @pytest.mark.parametrize("users", [3, 4])
 def test_optimal_labels_hold_at_kkt_points(users):
-    # the polytope walk ends off KKT on these instances; it must not say optimal
+    # both solvers end off KKT on these instances; they must not say optimal
     labels = []
     for seed in range(8):
         inst = sr.generate_instance(users, seed=seed).to_instance()
         poly = sr.build_polytope(inst)
-        for report in (sr.solve_linearized(inst, poly), sr.solve_lp_relax(inst, poly)):
+        for report in (sr.solve_linearized(inst, poly), sr.solve_lp_relax(inst)):
             labels.append(report.termination)
             if report.termination in ("kkt_satisfied", "lp_optimal"):
                 assert report.kkt_residual <= sr.solvers.KKT_TOL

@@ -343,6 +343,13 @@ class TestInverseWeight:
         with pytest.raises(InfeasibleWeightError):
             sr.inverse_weight(EXCHANGE, [0.9, 0.1])
 
+    @pytest.mark.parametrize("w", [[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    def test_zero_weight_infeasible_at_first_zero(self, w):
+        # Perron products of an irreducible matrix are entrywise positive
+        with pytest.raises(InfeasibleWeightError, match="index") as info:
+            sr.inverse_weight(np.full((3, 3), 0.2) + np.eye(3), w)
+        assert info.value.index == w.index(0.0)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to one"):
             sr.inverse_weight(np.ones((2, 2)), [0.5, 0.6])
