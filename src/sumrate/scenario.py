@@ -15,8 +15,7 @@ Scenario schema (JSON object, version 1)::
       "snr_gap": number >= 1,                 # optional, default 1
       "solver": {                             # optional, every key optional
         "algorithm": "gradient" | "linearized" | "lp",
-        "seed": <int >= 0>, "multistart": <int >= 1>,
-        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null
+        "seed": <int >= 0>, "multistart": <int >= 1>
       }
     }
 
@@ -66,19 +65,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 # solver key -> (valid value test, constraint named in the error)
 _SOLVER_RULES = {
     "algorithm": (lambda x: x in ALGORITHMS, f"must be one of {', '.join(ALGORITHMS)}"),
     "seed": (lambda x: _is_int(x) and x >= 0, "must be an integer >= 0"),
     "multistart": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
-    "polytope_grid": (lambda x: _is_int(x) and x >= 2, "must be an integer >= 2"),
-    "polytope_K": (
-        lambda x: x is None or _is_finite_number(x), "must be a finite number or null"
-    ),
 }
 _SOLVER_KEYS = tuple(_SOLVER_RULES)
 
@@ -323,13 +314,19 @@ def generate_instance(
 
     Direct gains are drawn from ``direct_range`` and cross gains from
     ``cross_range`` (relative to one), so smaller ``cross_range`` means a
-    more diagonally dominant channel. All randomness flows from the single
-    integer seed.
+    more diagonally dominant channel; its bounds must be finite with
+    ``0 < lo <= hi``, because gains must be positive. All randomness flows
+    from the single integer seed.
     """
     if users < 2:
         raise ValueError("users must be >= 2")
+    lo, hi = cross_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        raise ValueError(
+            f"cross_range: must be finite with 0 < lo <= hi, got ({lo!r}, {hi!r})"
+        )
     rng = np.random.default_rng(int(seed))
-    gains = rng.uniform(cross_range[0], cross_range[1], (users, users))
+    gains = rng.uniform(lo, hi, (users, users))
     np.fill_diagonal(gains, rng.uniform(direct_range[0], direct_range[1], users))
     noise = rng.uniform(noise_range[0], noise_range[1], users)
     caps = rng.uniform(cap_range[0], cap_range[1], users)

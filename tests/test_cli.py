@@ -140,6 +140,23 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [("nan", "0.3"), ("-0.5", "0.3"), ("0.5", "0.2"), ("0.1", "inf")]
+)
+def test_gen_bad_cross_range_exits_1(capsys, lo, hi):
+    # a scenario that every other command would reject is never written
+    assert run(["gen", "--users", "3", "--seed", "0",
+                "--cross-lo", lo, "--cross-hi", hi]) == 1
+    assert capsys.readouterr().err.startswith("error: cross_range: ")
+
+
+def test_gen_equal_cross_bounds_accepted(capsys):
+    assert run(["gen", "--users", "3", "--seed", "0",
+                "--cross-lo", "0.2", "--cross-hi", "0.2"]) == 0
+    gains = np.array(json.loads(capsys.readouterr().out)["gains"])
+    assert np.all(gains[~np.eye(3, dtype=bool)] == 0.2)
+
+
 def test_usage_errors_exit_1(e1_file, capsys):
     assert run(["solve", "--scenario", e1_file, "--algorithm", "newton"]) == 1
     assert "invalid choice" in capsys.readouterr().err
@@ -240,14 +257,16 @@ def test_solve_lp_near_zero_noise(tmp_path):
 
 
 def test_solve_lp_at_16_users(tmp_path):
-    # the fixed point costs O(L^2) per step, so lp runs at any L
+    # the log-SIR fixed point costs O(L^2) per step, so lp and linearized
+    # run at any L
     sc = generate_instance(16, seed=0)
     path = tmp_path / "l16.json"
     save_scenario(sc, path)
-    out = tmp_path / "report.json"
-    assert run(["solve", "--scenario", str(path), "--algorithm", "lp",
-                "--out", str(out)]) == 0
-    verify_report(sc, json.loads(out.read_text()))
+    for algorithm in ("lp", "linearized"):
+        out = tmp_path / f"{algorithm}.json"
+        assert run(["solve", "--scenario", str(path), "--algorithm", algorithm,
+                    "--out", str(out)]) == 0
+        verify_report(sc, json.loads(out.read_text()))
 
 
 def test_bounds_near_zero_noise(tmp_path):
@@ -290,11 +309,15 @@ def test_relax_cap_boundary_weight_exits_2(e1_file, capsys, variant):
 @pytest.mark.parametrize(
     "flag, value",
     [("--seed", "-1"), ("--polytope-K", "nan"), ("--polytope-K", "1e400"),
-     ("--multistart", "0"), ("--polytope-grid", "1")],
+     ("--multistart", "0"), ("--polytope-grid", "1"), ("--polytope-grid", "4"),
+     ("--polytope-K", "12")],
 )
 def test_invalid_solve_flag_exits_1(e1_file, capsys, flag, value):
-    algorithm = "gradient" if flag in ("--seed", "--multistart") else "lp"
-    code = run(["solve", "--scenario", e1_file, "--algorithm", algorithm,
+    code = run(["solve", "--scenario", e1_file, "--algorithm", "gradient",
                 flag, value])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    err = capsys.readouterr().err
+    if flag.startswith("--polytope"):  # retired: no longer an option at all
+        assert f"unrecognized arguments: {flag} {value}" in err
+    else:
+        assert err.startswith(f"error: {flag}: ")

@@ -77,10 +77,10 @@ class TestLoading:
             ({"solver": {"seed": True}}, "solver.seed"),
             ({"solver": {"multistart": True}}, "solver.multistart"),
             ({"solver": {"multistart": 0}}, "solver.multistart"),
-            ({"solver": {"polytope_grid": 1}}, "solver.polytope_grid"),
-            ({"solver": {"polytope_grid": 3.0}}, "solver.polytope_grid"),
-            ({"solver": {"polytope_K": math.inf}}, "solver.polytope_K"),
-            ({"solver": {"polytope_K": "5"}}, "solver.polytope_K"),
+            ({"solver": {"polytope_grid": 4}}, "solver"),  # a retired key
+            ({"weights": [1.5, -0.5]}, "weights"),
+            ({"solver": {"polytope_K": None}}, "solver"),  # a retired key
+            ({"caps": [1.0, 0.0]}, "caps"),
             ({"solver": {"algorithm": 5}}, "solver.algorithm"),
             ({"solver": {"algorithm": "newton"}}, "solver.algorithm"),
         ],
@@ -89,10 +89,8 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=field):
             sr.parse_scenario(e1_dict(**overrides))
 
-    @pytest.mark.parametrize("polytope_K", [None, 5, 12.5])
-    def test_valid_solver_block_kept(self, polytope_K):
-        solver = {"algorithm": "lp", "seed": 0, "multistart": 1,
-                  "polytope_grid": 2, "polytope_K": polytope_K}
+    def test_valid_solver_block_kept(self):
+        solver = {"algorithm": "lp", "seed": 0, "multistart": 1}
         assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
 
     def test_missing_file(self, tmp_path):
