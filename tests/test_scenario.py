@@ -89,9 +89,18 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=field):
             sr.parse_scenario(e1_dict(**overrides))
 
-    def test_valid_solver_block_kept(self):
-        solver = {"algorithm": "lp", "seed": 0, "multistart": 1}
-        assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
+    @pytest.mark.parametrize("snr_gap", [None, 5, 12.5])
+    def test_valid_solver_block_kept(self, snr_gap):
+        # The solver block is kept as given, whatever else the scenario holds;
+        # snr_gap=None leaves the key out so the default applies.
+        raw = e1_dict(solver={"algorithm": "lp", "seed": 0, "multistart": 1})
+        if snr_gap is None:
+            del raw["snr_gap"]
+        else:
+            raw["snr_gap"] = snr_gap
+        scenario = sr.parse_scenario(raw)
+        assert scenario.solver == {"algorithm": "lp", "seed": 0, "multistart": 1}
+        assert scenario.snr_gap == (1.0 if snr_gap is None else snr_gap)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
