@@ -3,10 +3,9 @@
 The model is one carrier shared by L transmit/receive pairs (a CDMA cell
 or one tone of a DSL binder). Spectral machinery for the achievable SIR
 region, analytic bounds and closed-form relaxations, three solvers
-(projected gradient, successive linearization of the sum rate in log-SIR
-coordinates, and the exact log-SIR relaxation, the last two by the same
-fixed-point iteration), a brute-force grid oracle, and a scenario/report
-file layer with a CLI.
+(projected gradient, successive linearization over a supporting-hyperplane
+polytope, and the exact log-SIR relaxation by a fixed-point iteration), a
+brute-force grid oracle, and a scenario/report file layer with a CLI.
 """
 
 from .channel import (

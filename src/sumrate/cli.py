@@ -21,6 +21,7 @@ from .exceptions import (
 
 DEFAULT_MULTISTART = 16
 DEFAULT_SEED = 0
+DEFAULT_GRID = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="oracle grid resolution for --oracle-check")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--multistart", type=int, default=None)
+    solve.add_argument("--polytope-grid", type=int, default=None)
+    solve.add_argument("--polytope-K", type=float, default=None)
     solve.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="sandwich bounds on the optimum")
@@ -118,11 +121,12 @@ def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None)
 def _cmd_solve(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     inst = sc.to_instance()
-    opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART, **sc.solver}
-    for key in ("seed", "multistart"):
+    opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART,
+            "polytope_grid": DEFAULT_GRID, "polytope_K": None, **sc.solver}
+    for key in ("seed", "multistart", "polytope_grid", "polytope_K"):
         value = getattr(args, key)
         if value is not None:
-            scenario.check_solver_option(key, value, "--" + key)
+            scenario.check_solver_option(key, value, "--" + key.replace("_", "-"))
             opts[key] = value
     algorithm = args.algorithm or opts.get("algorithm")
     if algorithm is None:
@@ -131,12 +135,14 @@ def _cmd_solve(args) -> int:
             f"{', '.join(scenario.ALGORITHMS)}"
         )
     seed, multistart = opts["seed"], opts["multistart"]
+    grid, poly_K = opts["polytope_grid"], opts["polytope_K"]
     if algorithm == "gradient":
         rep = solvers.solve_gradient_multistart(inst, starts=multistart, seed=seed)
         doc = _solver_report_dict(sc, inst, "gradient", rep, seed=seed,
                                   multistart=multistart)
     elif algorithm == "linearized":
-        rep = solvers.solve_linearized(inst)
+        poly = solvers.build_polytope(inst, K=poly_K, grid=grid)
+        rep = solvers.solve_linearized(inst, poly)
         doc = _solver_report_dict(sc, inst, "linearized", rep)
     else:
         rep = solvers.solve_lp_relax(inst)

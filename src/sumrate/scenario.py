@@ -15,7 +15,8 @@ Scenario schema (JSON object, version 1)::
       "snr_gap": number >= 1,                 # optional, default 1
       "solver": {                             # optional, every key optional
         "algorithm": "gradient" | "linearized" | "lp",
-        "seed": <int >= 0>, "multistart": <int >= 1>
+        "seed": <int >= 0>, "multistart": <int >= 1>,
+        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null
       }
     }
 
@@ -65,11 +66,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 # solver key -> (valid value test, constraint named in the error)
 _SOLVER_RULES = {
     "algorithm": (lambda x: x in ALGORITHMS, f"must be one of {', '.join(ALGORITHMS)}"),
     "seed": (lambda x: _is_int(x) and x >= 0, "must be an integer >= 0"),
     "multistart": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
+    "polytope_grid": (lambda x: _is_int(x) and x >= 2, "must be an integer >= 2"),
+    "polytope_K": (
+        lambda x: x is None or _is_finite_number(x), "must be a finite number or null"
+    ),
 }
 _SOLVER_KEYS = tuple(_SOLVER_RULES)
 

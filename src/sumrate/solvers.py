@@ -1,19 +1,18 @@
-"""Solvers: projected gradient ascent, successive linearization, the exact
-log-SIR relaxation, stationarity classification, and the brute-force grid
-oracle.
+"""Solvers: projected gradient ascent, polytope-based linearization, the
+exact log-SIR relaxation, stationarity classification, and the brute-force
+grid oracle.
 
-Two solvers work in log-SIR coordinates ``xi = log sir``, where the
-achievable region is the intersection of the convex sets
-``log rho(diag(exp(xi)) B[l]) <= 0``. Neither needs a polytope: a linear
-objective ``c . xi`` with ``c >= 0`` is maximized over the exact region by
-the fixed point of ``p = min(caps, c / ((c / (F p + v)) @ F))``.
-The relaxation (``solve_lp_relax``, the ``lp`` algorithm) runs it once with
-``c = w``; the linearization (``solve_linearized``) runs it at every step
-with the gradient of the sum rate in ``xi``.
+The linearization works in log-SIR coordinates, where the achievable
+region is the intersection of the convex sets
+``log rho(diag(exp(xi)) B[l]) <= 0``. The region is outer-approximated by
+the box ``[-K, log gamma_bar]`` plus supporting hyperplanes anchored at
+boundary points; boundary anchors come from a power grid on
+``[floor, caps]`` restricted to points with at least one cap-coordinate,
+with ``floor`` the power image of the uniform SIR ``exp(-K)``.
 
-``build_polytope`` and ``lp_solve`` remain as library functions: an outer
-polytope of the region from supporting hyperplanes anchored at boundary
-points of a power grid, and its exact vertex LP. No solver calls them.
+The relaxation (``solve_lp_relax``, the ``lp`` algorithm) needs no
+polytope: it maximizes ``sum_l w_l log sir_l``, which is concave in
+log-power, by a fixed-point iteration on the cap box.
 """
 from __future__ import annotations
 
@@ -52,20 +51,18 @@ MIN_STEP = 1e-12
 LINEARIZED_MAX_STEPS = 100
 LP_TOL = 1e-12
 LP_MAX_ITERS = 10_000
-K_MARGIN = 10.0  # the chordal bound's log-SIR box starts at -K, K = log R + K_MARGIN
 
 TERMINATIONS = ("kkt_satisfied", "max_iters", "lp_optimal", "stalled")
 """Why a solver stopped, as reported in ``SolverReport.termination``.
 
 * ``kkt_satisfied``: the reported power passes :func:`kkt_classify`.
 * ``max_iters``: the iteration or step budget ran out first.
-* ``lp_optimal``: the log-SIR fixed point of ``lp`` converged, and the
-  reported power passes :func:`kkt_classify`. ``linearized`` never reports it.
+* ``lp_optimal``: the relaxation is solved (the polytope LP could not
+  improve on the current vertex, or the log-SIR fixed point converged),
+  and the reported power passes :func:`kkt_classify`.
 * ``stalled``: no further progress was possible at a point that fails
   :func:`kkt_classify`: no increasing step of at least ``MIN_STEP`` in the
-  gradient solver, a linearization step that moves no power by more than
-  ``LP_TOL`` of its cap, or a relaxation optimum whose power is not
-  stationary.
+  gradient solver, or a relaxation optimum whose power is not stationary.
 """
 
 
@@ -136,9 +133,8 @@ class SolverReport:
     iterations: int
     termination: str
     bounds: relaxations.BoundsReport
-    # nats; linearized: chordal sum-rate bound over the region in the box
-    # [-K, log gamma_bar]; lp: the exact log-SIR maximum over the
-    # positive-weight users; gradient: None
+    # nats; linearized: chordal sum-rate bound over its polytope; lp: the
+    # exact log-SIR maximum over the positive-weight users; gradient: None
     lp_bound: Optional[float] = None
 
     def __post_init__(self):
@@ -164,6 +160,10 @@ def _report(inst, power, *, iterations, termination, lp_bound=None) -> SolverRep
         bounds=relaxations.objective_bounds(inst),
         lp_bound=lp_bound,
     )
+
+
+def _phi(inst, p) -> float:
+    return channel.objective(inst.weights, channel.sir_of_power(inst, p))
 
 
 def _snap(p, caps):
@@ -369,13 +369,13 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     anchors are the grid points with at least one coordinate at its cap,
     each contributing one hyperplane per active cap. ``K`` bounds the
     log-SIR box from below and must exceed ``log R``; the default is
-    ``log R + K_MARGIN``.
+    ``log R + 10``.
     """
     der = channel.derive_matrices(inst)
     n = inst.users
     log_r = math.log(der.max_radius)
     if K is None:
-        K = log_r + K_MARGIN
+        K = log_r + 10.0
     K = float(K)
     if K <= log_r:
         raise ValueError(f"K must exceed log(max radius) = {log_r!r}")
@@ -424,83 +424,99 @@ def lp_solve(objective, polytope: Polytope):
     return simplex_max(objective, A, b, polytope.box_low, polytope.box_high)
 
 
-def _log_sir_max(der, c, p):
-    """Maximizer of ``sum_l c_l log sir_l`` on the cap box, from power ``p``.
+def _lift_to_box(inst, xi):
+    """Power candidate for a log-SIR point, clamped into the cap box.
 
-    Iterates ``p <- min(caps, c / ((c / (F p + v)) @ F))``, the stationarity
-    condition in log-power ``q = log p``, where the objective is concave.
-    With ``v > 0`` the map is a standard interference function (positive,
-    monotone, scalable), so it converges from any start to the unique
-    maximizer, and decreases monotonically to it from the caps (Yates 1995;
-    Chiang et al. 2007). Returns ``(p, steps, converged)``: it stops once
-    ``max |dp| / caps <= LP_TOL``, or unconverged after ``LP_MAX_ITERS``
-    steps of O(L^2) each. Gains are positive, so a zero-weight user's target
-    is exactly 0, and a lone positive weight's is infinite, which gives its
-    cap.
-    """
-    caps = der.caps
-    for k in range(1, LP_MAX_ITERS + 1):
-        with np.errstate(divide="ignore"):  # a lone positive weight: c / 0
-            nxt = np.minimum(caps, c / ((c / (der.F @ p + der.v)) @ der.F))
-        step = float(np.max(np.abs(nxt - p) / caps))
-        p = nxt
-        if step <= LP_TOL:
-            return p, k, True
-    return p, LP_MAX_ITERS, False
-
-
-def solve_linearized(inst: channel.ChannelInstance) -> SolverReport:
-    """Successive linearization of the sum rate over the exact log-SIR region.
-
-    In ``xi = log sir`` the sum rate ``sum_l w_l log(1 + exp(xi_l))`` is
-    convex, so its tangent at the current point minorizes it. The tangent's
-    maximum over the region is the log-SIR maximizer with weights
-    ``c = w * sir / (1 + sir)``, which :func:`_log_sir_max` finds warm-started
-    at the current power. So no step lowers the sum rate (a
-    minorize-maximize ascent, as in SCALE: Papandriopoulos & Evans 2009),
-    every iterate lies in the cap box, and at a fixed point the gradients of
-    both objectives agree, so it is stationary for the sum rate.
-
-    Starts at the caps. Stops ``kkt_satisfied`` as soon as the power passes
-    :func:`kkt_classify`, ``stalled`` when a step moves no power by more than
-    ``LP_TOL`` of its cap at a point that fails it, and ``max_iters`` after
-    ``LINEARIZED_MAX_STEPS`` steps or when a fixed point runs out of
-    ``LP_MAX_ITERS``. ``lp_bound`` is an upper bound on the sum rate over the
-    region truncated to the box ``[-K, log gamma_bar]``, ``K = log R +
-    K_MARGIN``: the chord of each convex ``log(1 + exp(xi_l))`` over the box
-    dominates it there, and the chordal surrogate is linear in ``xi``, so one
-    more fixed point maximizes it.
+    Returns ``(raw, clamped)``: ``raw`` is the exact lifted power, which is
+    nonnegative, when the point lies strictly inside the SIR region, else
+    None (the point is first pulled inside along its ray, a defensive branch
+    for polytope vertices beyond the region surface).
     """
     der = channel.derive_matrices(inst)
-    w, caps = inst.weights, inst.caps
-    lo = -(math.log(der.max_radius) + K_MARGIN)
-    hi = np.log(der.gamma_bar)
-    bottom = math.log1p(math.exp(lo))
-    slope = (np.log1p(np.exp(hi)) - bottom) / (hi - lo)
-    top, _, converged = _log_sir_max(der, w * slope, caps)
-    weighted = w > 0
-    xi = np.log(channel.sir_of_power(inst, top)[weighted])
-    bound = float(w[weighted] @ (bottom + slope[weighted] * (xi - lo)))
+    gamma = np.exp(np.asarray(xi, dtype=float).reshape(-1))
+    rho = spectral.spectral_radius(gamma[:, None] * der.F)
+    if rho < 1.0 - 1e-9:
+        raw = channel.power_of_sir(inst, gamma)
+        return raw, np.clip(raw, 0.0, inst.caps)
+    pulled = channel.power_of_sir(inst, gamma * (1.0 - 1e-6) / rho)
+    return None, np.clip(pulled, 0.0, inst.caps)
 
-    p = caps
+
+def _chord_bound(inst, polytope: Polytope) -> float:
+    """Upper bound on the weighted sum rate over the whole polytope.
+
+    Each coordinate function ``log(1 + exp(xi_l))`` is convex, so its chord
+    over the box interval dominates it; maximizing the chordal surrogate is
+    one LP.
+    """
+    lo, hi = polytope.box_low, polytope.box_high
+    w = inst.weights
+    top = np.log1p(np.exp(hi))
+    bottom = np.log1p(np.exp(lo))
+    slope = (top - bottom) / (hi - lo)
+    coeff = w * slope
+    _, value = lp_solve(coeff, polytope)
+    return float(w @ bottom - coeff @ lo + value)
+
+
+def solve_linearized(
+    inst: channel.ChannelInstance, polytope: Optional[Polytope] = None
+) -> SolverReport:
+    """Successive linearization over the supporting-hyperplane polytope.
+
+    From the current vertex, starting at the lower box corner, maximize the
+    first-order model of the sum rate (an LP) to reach a strictly better
+    vertex, lift it to powers, and stop as soon as the lifted point is in
+    the box and stationarity-classified.
+    Vertex revisits and non-improving LP steps end the walk; the report then
+    carries the best cap-clamped lift seen. ``lp_bound`` is a chordal upper
+    bound on the sum rate over the polytope, which contains the truncated
+    log-SIR region.
+    """
+    poly = polytope if polytope is not None else build_polytope(inst)
+    w = inst.weights
+    xi = poly.box_low
+    bound = _chord_bound(inst, poly)
+
+    best_power = None
+    best_value = -math.inf
+
+    def consider(p_clamped):
+        nonlocal best_power, best_value
+        value = _phi(inst, p_clamped)
+        if value > best_value:
+            best_power, best_value = p_clamped, value
+
+    _, clamped = _lift_to_box(inst, xi)
+    consider(clamped)
+    visited = {xi.tobytes()}
     steps = 0
     termination = "max_iters"
-    while converged and steps < LINEARIZED_MAX_STEPS:
-        steps += 1
-        sir = channel.sir_of_power(inst, p)
-        nxt, _, converged = _log_sir_max(der, w * sir / (1.0 + sir), p)
-        moved = float(np.max(np.abs(nxt - p) / caps))
-        p = nxt
-        if not converged:
+    for k in range(LINEARIZED_MAX_STEPS):
+        gamma_k = np.exp(xi)
+        grad = w * gamma_k / (1.0 + gamma_k)
+        nxt, value = lp_solve(grad, poly)
+        if value <= float(grad @ xi) + 1e-12 * max(1.0, abs(value)):
+            termination = "lp_optimal"
+            steps = k
             break
-        if kkt_classify(inst, p).satisfied:
-            termination = "kkt_satisfied"
+        xi = nxt
+        steps = k + 1
+        raw, clamped = _lift_to_box(inst, xi)
+        if raw is not None and np.all(raw <= inst.caps * (1 + 1e-12)):
+            p_exact = _snap(np.clip(raw, 0.0, inst.caps), inst.caps)
+            if kkt_classify(inst, p_exact).satisfied:
+                return _report(
+                    inst, p_exact, iterations=steps, termination="kkt_satisfied",
+                    lp_bound=bound,
+                )
+        consider(clamped)
+        if xi.tobytes() in visited:
+            termination = "lp_optimal"
             break
-        if moved <= LP_TOL:
-            termination = "stalled"
-            break
+        visited.add(xi.tobytes())
     return _report(
-        inst, p, iterations=steps, termination=termination, lp_bound=bound
+        inst, best_power, iterations=steps, termination=termination, lp_bound=bound
     )
 
 
@@ -508,21 +524,39 @@ def solve_lp_relax(inst: channel.ChannelInstance) -> SolverReport:
     """Exact maximizer of the log-SIR objective ``sum_l w_l log sir_l`` on
     the cap box (the high-SIR approximation of the sum rate).
 
-    One :func:`_log_sir_max` run with ``c = w``, from the caps. ``lp_bound``
-    is the objective's maximum over the positive-weight users, in nats; it
-    bounds the log-SIR value of every achievable point from above. The power
-    is feasible by construction.
+    In log-power ``q = log p`` the objective is concave, and its stationarity
+    condition is the fixed point ``p = min(caps, w / ((w / (F p + v)) @ F))``.
+    With ``v > 0`` that map is a standard interference function (positive,
+    monotone, scalable), so the iteration from ``p = caps`` decreases
+    monotonically to the unique maximizer (Yates 1995; Chiang et al. 2007).
+    It stops when ``max |dp| / caps <= LP_TOL``, or after ``LP_MAX_ITERS``
+    steps of O(L^2) each. Gains are positive, so a zero-weight user's
+    target is exactly 0, and a lone positive-weight user's is infinite,
+    which gives its cap.
+
+    ``lp_bound`` is the objective's maximum over the positive-weight users,
+    in nats; it bounds the log-SIR value of every achievable point from
+    above. The power is feasible by construction.
     """
     der = channel.derive_matrices(inst)
-    w = inst.weights
-    p, steps, converged = _log_sir_max(der, w, inst.caps)
+    w, caps = inst.weights, inst.caps
+    p = caps
+    termination = "max_iters"
+    for k in range(1, LP_MAX_ITERS + 1):
+        with np.errstate(divide="ignore"):  # a lone positive weight: w / 0
+            nxt = np.minimum(caps, w / ((w / (der.F @ p + der.v)) @ der.F))
+        step = float(np.max(np.abs(nxt - p) / caps))
+        p = nxt
+        if step <= LP_TOL:
+            termination = "lp_optimal"
+            break
     sir = channel.sir_of_power(inst, p)
     weighted = w > 0
     return _report(
         inst,
         p,
-        iterations=steps,
-        termination="lp_optimal" if converged else "max_iters",
+        iterations=k,
+        termination=termination,
         lp_bound=float(w[weighted] @ np.log(sir[weighted])),
     )
 

@@ -42,33 +42,12 @@ def majorization_weights(rng, n, ceiling=0.48):
             return w
 
 
-def chord_surrogate(inst, poly):
-    """``(offset, coeff)`` of the chordal sum-rate surrogate ``offset + coeff . xi``.
-
-    Each ``log(1 + exp(xi_l))`` is replaced by its chord over the polytope's
-    box, which dominates it there.
-    """
-    lo, hi = poly.box_low, poly.box_high
-    bottom = np.log1p(np.exp(lo))
-    coeff = inst.weights * (np.log1p(np.exp(hi)) - bottom) / (hi - lo)
-    return float(inst.weights @ bottom - coeff @ lo), coeff
-
-
-def polytope_chord_bound(inst, poly):
-    """The chordal surrogate maximized over the polytope by ``lp_solve``; the
-    polytope contains the region, so this dominates its maximum over the region."""
-    offset, coeff = chord_surrogate(inst, poly)
-    _, value = sr.lp_solve(coeff, poly)
-    return offset + value
-
-
-def log_sir_grid_best(inst, resolution, weights=None):
-    """Best log-SIR objective ``w . log sir`` over a uniform power grid
-    (``weights`` default to the instance's)."""
+def log_sir_grid_best(inst, resolution):
+    """Best log-SIR objective ``w . log sir`` over a uniform power grid."""
     der = sr.derive_matrices(inst)
     axes = [np.linspace(0.0, float(c), resolution) for c in inst.caps]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, inst.users)
     gamma = mesh / (mesh @ der.F.T + der.v)
     with np.errstate(divide="ignore"):
         logs = np.where(gamma > 0.0, np.log(np.where(gamma > 0, gamma, 1.0)), -np.inf)
-    return float(np.max(logs @ (inst.weights if weights is None else weights)))
+    return float(np.max(logs @ inst.weights))

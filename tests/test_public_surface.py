@@ -15,8 +15,6 @@ REMOVED = {
     channel: ("MultiToneInstance", "StackedMultiTone", "stack_multitone", "noiseless_sir"),
     relaxations: ("cap_eigenvector_power", "CERT_RADIUS_TOL", "CERT_WEIGHT_TOL"),
     exceptions: ("DegenerateInputError",),
-    solvers: ("_lift_to_box", "_chord_bound"),
-    cli: ("DEFAULT_GRID",),
 }
 
 
@@ -46,7 +44,7 @@ def test_package_imports_only_declared_names():
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(sr, name)
     assert not hasattr(module, name)
-    assert name not in getattr(module, "__all__", ())
+    assert name not in module.__all__
 
 
 def test_gen_has_no_tones_option(capsys):
@@ -83,17 +81,3 @@ def test_scenario_kkt_tol_is_an_unknown_key(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert cli.main(["solve", "--scenario", str(path), "--algorithm", "gradient"]) == 1
     assert capsys.readouterr().err == "error: solver: unknown keys ['kkt_tol']\n"
-
-
-@pytest.mark.parametrize("solver", [{"polytope_grid": 4}, {"polytope_K": None}])
-def test_scenario_polytope_keys_are_unknown(tmp_path, capsys, solver):
-    raw = json.loads(open(f"{DATA}/e1.json").read())
-    raw["solver"] = solver
-    path = tmp_path / "polytope.json"
-    path.write_text(json.dumps(raw))
-    assert cli.main(["solve", "--scenario", str(path), "--algorithm", "linearized"]) == 1
-    assert capsys.readouterr().err == f"error: solver: unknown keys {list(solver)}\n"
-
-
-def test_linearized_takes_no_polytope():
-    assert list(inspect.signature(solvers.solve_linearized).parameters) == ["inst"]

@@ -77,10 +77,10 @@ class TestLoading:
             ({"solver": {"seed": True}}, "solver.seed"),
             ({"solver": {"multistart": True}}, "solver.multistart"),
             ({"solver": {"multistart": 0}}, "solver.multistart"),
-            ({"solver": {"polytope_grid": 4}}, "solver"),  # a retired key
-            ({"weights": [1.5, -0.5]}, "weights"),
-            ({"solver": {"polytope_K": None}}, "solver"),  # a retired key
-            ({"caps": [1.0, 0.0]}, "caps"),
+            ({"solver": {"polytope_grid": 1}}, "solver.polytope_grid"),
+            ({"solver": {"polytope_grid": 3.0}}, "solver.polytope_grid"),
+            ({"solver": {"polytope_K": math.inf}}, "solver.polytope_K"),
+            ({"solver": {"polytope_K": "5"}}, "solver.polytope_K"),
             ({"solver": {"algorithm": 5}}, "solver.algorithm"),
             ({"solver": {"algorithm": "newton"}}, "solver.algorithm"),
         ],
@@ -89,18 +89,11 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=field):
             sr.parse_scenario(e1_dict(**overrides))
 
-    @pytest.mark.parametrize("snr_gap", [None, 5, 12.5])
-    def test_valid_solver_block_kept(self, snr_gap):
-        # The solver block is kept as given, whatever else the scenario holds;
-        # snr_gap=None leaves the key out so the default applies.
-        raw = e1_dict(solver={"algorithm": "lp", "seed": 0, "multistart": 1})
-        if snr_gap is None:
-            del raw["snr_gap"]
-        else:
-            raw["snr_gap"] = snr_gap
-        scenario = sr.parse_scenario(raw)
-        assert scenario.solver == {"algorithm": "lp", "seed": 0, "multistart": 1}
-        assert scenario.snr_gap == (1.0 if snr_gap is None else snr_gap)
+    @pytest.mark.parametrize("polytope_K", [None, 5, 12.5])
+    def test_valid_solver_block_kept(self, polytope_K):
+        solver = {"algorithm": "lp", "seed": 0, "multistart": 1,
+                  "polytope_grid": 2, "polytope_K": polytope_K}
+        assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
