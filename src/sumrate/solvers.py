@@ -47,6 +47,7 @@ BOUNDARY_TOL = 1e-9
 GRADIENT_MAX_ITERS = 500
 ARMIJO = 1e-4
 BACKTRACK_SHRINK = 0.5
+BACKTRACK_BLOCK = 8  # backtracking steps tried per lane in one stacked call
 MIN_STEP = 1e-12
 LINEARIZED_MAX_STEPS = 100
 LP_TOL = 1e-12
@@ -233,17 +234,32 @@ def _ascend(inst, P, callback=None) -> _Lanes:
         accepted = np.zeros(live.size, dtype=bool)
         search = np.flatnonzero(t >= MIN_STEP)
         while search.size:
+            # the next BACKTRACK_BLOCK steps of every searching lane, halved
+            # one after another as the sequential search would, in one stack
+            steps = np.empty((search.size, BACKTRACK_BLOCK))
+            steps[:, 0] = t[search]
+            for j in range(1, BACKTRACK_BLOCK):
+                steps[:, j] = steps[:, j - 1] * BACKTRACK_SHRINK
             candidate = _snap(
-                np.clip(p[search] + t[search, None] * b[search], 0.0, caps), caps
+                np.clip(
+                    p[search, None] + steps[:, :, None] * b[search, None], 0.0, caps
+                ),
+                caps,
             )
-            value = channel._objective_rows(der, weights, candidate)
-            ok = value >= phi[live[search]] + ARMIJO * t[search] * slope[search]
-            lanes = live[search[ok]]
-            P[lanes], phi[lanes] = candidate[ok], value[ok]
+            value = channel._objective_rows(
+                der, weights, candidate.reshape(-1, caps.size)
+            ).reshape(steps.shape)
+            ok = value >= phi[live[search], None] + ARMIJO * steps * slope[search, None]
+            ok &= steps >= MIN_STEP
+            found = np.any(ok, axis=1)
+            first = np.argmax(ok[found], axis=1)
+            lanes = live[search[found]]
+            P[lanes] = candidate[found, first]
+            phi[lanes] = value[found, first]
             notify(lanes)
-            accepted[search[ok]] = True
-            search = search[~ok]
-            t[search] *= BACKTRACK_SHRINK
+            accepted[search[found]] = True
+            search = search[~found]
+            t[search] = steps[~found, -1] * BACKTRACK_SHRINK
             search = search[t[search] >= MIN_STEP]
         stop(live[~accepted], "stalled", k)
         live = live[accepted]
@@ -263,7 +279,10 @@ def solve_gradient(
     on a bound and point outward. Backtracking starts from the largest step
     that stays in the box and accepts on a sufficient-increase test, so the
     objective strictly increases at every accepted step (Armijo factor
-    ``ARMIJO``, step shrink ``BACKTRACK_SHRINK``). Terminates at a
+    ``ARMIJO``, step shrink ``BACKTRACK_SHRINK``). The halved steps are
+    tried ``BACKTRACK_BLOCK`` (8) at a time in one stacked evaluation, and
+    the first that passes is taken, so the result is the same as trying
+    them one by one. Terminates at a
     stationarity-classified point, after ``GRADIENT_MAX_ITERS`` iterations, or
     with a stall when no increasing step of at least ``MIN_STEP`` exists.
     ``callback(p, value)`` runs once at the start and after every accepted
