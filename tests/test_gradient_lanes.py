@@ -191,6 +191,64 @@ def test_max_iters_lanes_equal_sequential_runs(monkeypatch):
     assert {"max_iters", "kkt_satisfied"} <= set(lanes.termination)
 
 
+def _reference_search(inst, p):
+    """Steps the reference's line search at ``p`` tries, ignoring ``MIN_STEP``:
+    ``t_max`` halved until the Armijo test passes, the passing step last."""
+    caps = inst.caps
+    phi = _reference_phi(inst, p)
+    _, _, a = _reference_kkt(inst, p)
+    b = np.where((p <= solvers.BOUNDARY_TOL) & (a < 0), 0.0, a)
+    b = np.where((caps - p <= solvers.BOUNDARY_TOL) & (b > 0), 0.0, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_up = np.where(b > 0, (caps - p) / b, np.inf)
+        t_down = np.where(b < 0, p / -b, np.inf)
+    steps = [float(min(np.min(t_up), np.min(t_down)))]
+    while True:
+        t = steps[-1]
+        candidate = _reference_snap(np.clip(p + t * b, 0.0, caps), caps)
+        if _reference_phi(inst, candidate) >= phi + solvers.ARMIJO * t * float(a @ b):
+            return steps
+        steps.append(t * solvers.BACKTRACK_SHRINK)
+
+
+def _iterates(inst, p0):
+    """Every point the reference ascent from ``p0`` steps from."""
+    trace = []
+    _reference_solve_gradient(inst, p0, callback=lambda p, v: trace.append(p))
+    return trace[:-1]
+
+
+def test_lanes_needing_more_than_one_block_of_halvings():
+    # from the cap corner the line searches need up to 18 halvings, so an
+    # iteration runs into a second and a third block
+    inst = sr.generate_instance(3, seed=1, cross_range=(0.02, 0.3)).to_instance()
+    halvings = [len(_reference_search(inst, p)) - 1 for p in _iterates(inst, inst.caps)]
+    assert max(halvings) > 2 * solvers.BACKTRACK_BLOCK
+    _assert_lanes_match_reference(inst)
+
+
+@pytest.mark.parametrize("users, seed, block", [(3, 2, 0), (3, 1, 1)])
+def test_min_step_crossed_inside_a_block(monkeypatch, users, seed, block):
+    # start at the first iterate whose search passes Armijo inside block
+    # ``block`` but not at a block's first step; put MIN_STEP between that
+    # step and the one before, so the step that passes is too small and the
+    # lane stalls at once, as the reference does
+    inst = sr.generate_instance(users, seed=seed, cross_range=(0.02, 0.3)).to_instance()
+    size = solvers.BACKTRACK_BLOCK
+    p, steps = next(
+        (p, steps)
+        for p in _iterates(inst, inst.caps)
+        for steps in [_reference_search(inst, p)]
+        if (len(steps) - 1) // size == block and (len(steps) - 1) % size
+    )
+    monkeypatch.setattr(solvers, "MIN_STEP", 1.5 * steps[-1])
+    lanes = solvers._ascend(inst, p[None])
+    assert _lane(inst, lanes, 0) == _as_lane(_reference_solve_gradient(inst, p))
+    assert (lanes.termination[0], lanes.iterations[0]) == ("stalled", 0)
+    assert lanes.power[0].tobytes() == p.tobytes()
+    _assert_lanes_match_reference(inst)
+
+
 class TestLaneIndependence:
     @pytest.fixture
     def mixed(self):
