@@ -240,9 +240,10 @@ def objective_log(weights, gamma) -> float:
 def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
     """Gradient of the weighted sum rate with respect to powers.
 
-    Uses the Jacobian of the SIR map,
-    ``J(p) = diag(1/(F p + v)) (I - diag(sir) F)``, so the gradient is
-    ``J(p)^T (w / (1 + sir))``.
+    With ``d = F p + v`` the Jacobian of the SIR map is
+    ``J(p) = diag(1/d) (I - diag(sir) F)``, so the gradient
+    ``J(p)^T (w / (1 + sir))`` is ``x - F^T (sir * x)`` with
+    ``x = (w / (1 + sir)) / d``: two matrix-vector products, no Jacobian.
     """
     der = derive_matrices(inst)
     p = _checked(p, (inst.users,), "p", positive=False)
@@ -250,9 +251,10 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
 
 
 # Row-wise maps for a stack P of power vectors, one per row, unchecked. Every
-# product is a stack of matrix-vector products (``F @ P[:, :, None]``), which
-# keeps the summation order of the one-vector product, so each row is
-# bitwise equal to the map applied to that row alone; ``P @ F.T`` is not.
+# product is a stack of matrix-vector products (``F @ P[:, :, None]``,
+# ``F.T @ X[:, :, None]``), which keeps the summation order of the one-vector
+# product, so each row is bitwise equal to the map applied to that row alone;
+# ``P @ F.T`` is not.
 
 
 def _objective_rows(der: DerivedMatrices, weights, P) -> np.ndarray:
@@ -265,5 +267,5 @@ def _gradient_rows(der: DerivedMatrices, weights, P) -> np.ndarray:
     """:func:`objective_gradient_p` at every row of ``P``."""
     denom = (der.F @ P[:, :, None])[:, :, 0] + der.v
     gamma = P / denom
-    jac = (np.eye(P.shape[1]) - gamma[:, :, None] * der.F) / denom[:, :, None]
-    return (jac.transpose(0, 2, 1) @ (weights / (1.0 + gamma))[:, :, None])[:, :, 0]
+    x = weights / (1.0 + gamma) / denom
+    return x - (der.F.T @ (gamma * x)[:, :, None])[:, :, 0]

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sumrate as sr
+from sumrate import channel
 from sumrate.exceptions import InfeasibleSirError
 from conftest import random_instance
 
@@ -232,3 +233,43 @@ class TestGradient:
                 - sr.objective(inst.weights, sr.sir_of_power(inst, dn))
             ) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1e-12, np.max(np.abs(fd)))
+
+
+BANDS = [(1e-6, 1e-5), (1e-4, 1e-3), (1e-2, 1e-1), (0.1, 1.0), (0.5, 2.0)]
+
+
+def _box_point(inst, rng):
+    """A point of the cap box with a quarter of its coordinates (at least
+    one) at 0 and as many at the cap."""
+    p = rng.uniform(0.0, 1.0, inst.users) * inst.caps
+    order = rng.permutation(inst.users)
+    k = max(1, inst.users // 4)
+    p[order[:k]] = 0.0
+    p[order[k:2 * k]] = inst.caps[order[k:2 * k]]
+    return p
+
+
+class TestJacobianFreeGradient:
+    @pytest.mark.parametrize("cross", BANDS)
+    @pytest.mark.parametrize("users", [2, 8, 64])
+    def test_matches_the_jacobian_product(self, users, cross):
+        inst = sr.generate_instance(users, seed=users, cross_range=cross).to_instance()
+        der = sr.derive_matrices(inst)
+        p = _box_point(inst, np.random.default_rng(users))
+        denom = der.F @ p + der.v
+        gamma = p / denom
+        jac = (np.eye(users) - gamma[:, None] * der.F) / denom[:, None]
+        expected = jac.T @ (inst.weights / (1.0 + gamma))
+        assert_allclose(sr.objective_gradient_p(inst, p), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("users", [8, 64])
+    def test_stacked_rows_equal_one_row_calls(self, users):
+        # 128 rows: 16 lanes times 8 backtracking steps, as the ascent stacks them
+        inst = sr.generate_instance(users, seed=users).to_instance()
+        der = sr.derive_matrices(inst)
+        rng = np.random.default_rng(users)
+        P = np.array([_box_point(inst, rng) for _ in range(128)])
+        for rows in (channel._gradient_rows, channel._objective_rows):
+            stacked = rows(der, inst.weights, P)
+            for p, row in zip(P, stacked):
+                assert row.tobytes() == rows(der, inst.weights, p[None])[0].tobytes()

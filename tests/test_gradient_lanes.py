@@ -16,11 +16,12 @@ BANDS = [(1e-6, 1e-5), (1e-4, 1e-3), (1e-2, 1e-1), (0.1, 1.0), (0.5, 2.0)]
 
 
 def _reference_gradient(inst, p):
+    # J(p)^T (w / (1 + gamma)) without the Jacobian J(p)
     der = channel.derive_matrices(inst)
     denom = der.F @ p + der.v
     gamma = p / denom
-    jac = (np.eye(inst.users) - gamma[:, None] * der.F) / denom[:, None]
-    return jac.T @ (inst.weights / (1.0 + gamma))
+    x = inst.weights / (1.0 + gamma) / denom
+    return x - der.F.T @ (gamma * x)
 
 
 def _reference_kkt(inst, p):
