@@ -449,16 +449,19 @@ def _lift_to_box(inst, xi):
     Returns ``(raw, clamped)``: ``raw`` is the exact lifted power, which is
     nonnegative, when the point lies strictly inside the SIR region, else
     None (the point is first pulled inside along its ray, a defensive branch
-    for polytope vertices beyond the region surface).
+    for polytope vertices beyond the region surface). Zero-weight users get
+    zero power in both: their power only adds interference, so removing it
+    never lowers the sum rate.
     """
     der = channel.derive_matrices(inst)
     gamma = np.exp(np.asarray(xi, dtype=float).reshape(-1))
     rho = spectral.spectral_radius(gamma[:, None] * der.F)
+    silent = inst.weights == 0.0
     if rho < 1.0 - 1e-9:
-        raw = channel.power_of_sir(inst, gamma)
+        raw = np.where(silent, 0.0, channel.power_of_sir(inst, gamma))
         return raw, np.clip(raw, 0.0, inst.caps)
     pulled = channel.power_of_sir(inst, gamma * (1.0 - 1e-6) / rho)
-    return None, np.clip(pulled, 0.0, inst.caps)
+    return None, np.clip(np.where(silent, 0.0, pulled), 0.0, inst.caps)
 
 
 def _chord_bound(inst, polytope: Polytope) -> float:

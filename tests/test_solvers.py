@@ -271,15 +271,17 @@ class TestSolveLpRelax:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zero_weight_user_gets_exactly_zero(self, seed):
-        # the zero-weight instances of acceptance criterion 11
+        # the zero-weight instances of acceptance criterion 11, on lp and on
+        # linearized
         base = sr.generate_instance(3, seed=400 + seed).to_instance()
         inst = sr.ChannelInstance(
             gains=base.gains, noise=base.noise, caps=base.caps,
             weights=[0.6, 0.4, 0.0],
         )
-        report = sr.solve_lp_relax(inst)
-        assert report.power[2] == 0.0
-        assert np.all(report.power[:2] > 0)
+        for solve in (sr.solve_lp_relax, sr.solve_linearized):
+            report = solve(inst)
+            assert report.power[2] == 0.0
+            assert np.all(report.power[:2] > 0)
 
     def test_builds_no_polytope(self, monkeypatch):
         def refuse(*args, **kwargs):
