@@ -240,12 +240,8 @@ def _ascend(inst, P, callback=None) -> _Lanes:
             steps[:, 0] = t[search]
             for j in range(1, BACKTRACK_BLOCK):
                 steps[:, j] = steps[:, j - 1] * BACKTRACK_SHRINK
-            candidate = _snap(
-                np.clip(
-                    p[search, None] + steps[:, :, None] * b[search, None], 0.0, caps
-                ),
-                caps,
-            )
+            trial = p[search, None] + steps[:, :, None] * b[search, None]
+            candidate = _snap(np.clip(trial, 0.0, caps), caps)
             value = channel._objective_rows(
                 der, weights, candidate.reshape(-1, caps.size)
             ).reshape(steps.shape)
