@@ -257,9 +257,14 @@ def objective_gradient_p(inst: ChannelInstance, p) -> np.ndarray:
 # ``P @ F.T`` is not.
 
 
+def _sir_rows(der: DerivedMatrices, P) -> np.ndarray:
+    """:func:`sir_of_power` at every row of ``P``."""
+    return P / ((der.F @ P[:, :, None])[:, :, 0] + der.v)
+
+
 def _objective_rows(der: DerivedMatrices, weights, P) -> np.ndarray:
     """Weighted sum rate at every row of ``P``."""
-    gamma = P / ((der.F @ P[:, :, None])[:, :, 0] + der.v)
+    gamma = _sir_rows(der, P)
     return (np.log1p(gamma)[:, None, :] @ weights)[:, 0]
 
 

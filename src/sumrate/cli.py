@@ -7,6 +7,7 @@ violations or zero weights in a relaxation, SIR region violations).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -24,7 +25,10 @@ DEFAULT_SEED = 0
 DEFAULT_GRID = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first :func:`main` call and
+    reused by later ones in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sumrate",
         description="Weighted sum-rate power allocation: solve, bound, relax.",

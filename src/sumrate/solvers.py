@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -52,6 +53,7 @@ MIN_STEP = 1e-12
 LINEARIZED_MAX_STEPS = 100
 LP_TOL = 1e-12
 LP_MAX_ITERS = 10_000
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest K with a finite exp(K)
 
 TERMINATIONS = ("kkt_satisfied", "max_iters", "lp_optimal", "stalled")
 """Why a solver stopped, as reported in ``SolverReport.termination``.
@@ -384,7 +386,18 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     anchors are the grid points with at least one coordinate at its cap,
     each contributing one hyperplane per active cap. ``K`` bounds the
     log-SIR box from below and must exceed ``log R``; the default is
-    ``log R + 10``.
+    ``log R + 10``. ``exp(K)`` must be a finite float, so K is at most
+    ``log`` of the largest float (about 709.78).
+
+    Every hyperplane is the one :func:`spectral.supporting_hyperplane` gives,
+    bit for bit, but all come from one stacked Perron eigensolve
+    (``spectral._perron_rows``) over the scaled matrices
+    ``diag(exp(zeta)) B[l]``. Scaling by ``exp(zeta) > 0`` keeps the
+    positivity pattern of ``B[l]``, so each ``B[l]`` is checked for
+    irreducibility once. A row the stacked solve does not accept (its
+    certificate or its unit radius fails, or an entry of its scaled matrix
+    under- or overflows) is redone by ``supporting_hyperplane`` alone, which
+    raises that anchor's error; the first such row in anchor order raises.
     """
     der = channel.derive_matrices(inst)
     n = inst.users
@@ -394,6 +407,11 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     K = float(K)
     if K <= log_r:
         raise ValueError(f"K must exceed log(max radius) = {log_r!r}")
+    if not K <= LOG_FLOAT_MAX:
+        raise ValueError(
+            f"K must be at most {LOG_FLOAT_MAX!r}, where exp(K) still fits a "
+            f"float; got {K!r}"
+        )
     m = int(grid)
     if m < 2:
         raise ValueError("grid must have at least 2 points per axis")
@@ -404,17 +422,34 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
         vals = [(j * floor[i] + (m - j) * inst.caps[i]) / m for j in range(m)]
         vals[0] = inst.caps[i]
         axes.append(np.array(vals))
-    hyperplanes = []
-    for jtuple in itertools.product(range(m), repeat=n):
-        if min(jtuple) != 0:
-            continue
-        p = np.array([axes[i][j] for i, j in enumerate(jtuple)])
-        zeta = np.log(channel.sir_of_power(inst, p))
-        for l, j in enumerate(jtuple):
-            if j == 0:
-                hyperplanes.append(spectral.supporting_hyperplane(der.B[l], zeta))
+    # anchors in lexicographic order of their grid indices, then one row per
+    # capped user of each anchor
+    index = np.indices((m,) * n).reshape(n, -1).T
+    index = index[index.min(axis=1) == 0]
+    zeta = np.log(channel._sir_rows(der, np.array(axes)[np.arange(n), index]))
+    anchor, user = np.nonzero(index == 0)
+    eta = zeta[anchor]
+    B = np.array(der.B)[user]
+    scaled = np.exp(eta)[:, :, None] * B
+    irreducible = np.array([spectral.is_irreducible(B_l) for B_l in der.B])
+    regular = irreducible[user] & np.all(
+        np.isfinite(scaled) & ((scaled > 0) == (B > 0)), axis=(1, 2)
+    )
+    rows = spectral._perron_rows(scaled[regular])
+    accepted = np.zeros(len(user), dtype=bool)
+    accepted[regular] = rows.certified & (
+        np.abs(rows.rho - 1.0) <= spectral.ANCHOR_TOL
+    )
+    x, y = rows.right, rows.left
+    normals = np.empty_like(eta)
+    normals[regular] = x * (y / (x[:, None, :] @ y[:, :, None])[:, 0])
+    hyperplanes = tuple(
+        spectral.Hyperplane(normal=normal, anchor=at) if ok
+        else spectral.supporting_hyperplane(der.B[l], at)
+        for normal, at, l, ok in zip(normals, eta, user, accepted)
+    )
     return Polytope(
-        hyperplanes=tuple(hyperplanes),
+        hyperplanes=hyperplanes,
         box_low=np.full(n, -K),
         box_high=np.log(der.gamma_bar),
         K=K,

@@ -4,7 +4,10 @@ Everything in this module operates on small dense square matrices with
 nonnegative entries: the spectral radius, the radii of all rank-one updates
 ``F + outer(v, e_l) / cap_l`` from one eigendecomposition of ``F`` (each
 accepted only through its Collatz-Wielandt bracket), Perron eigenvector
-pairs (one dense eigensolve, accepted only when its eigen-residuals pass), the
+pairs (one dense eigensolve, accepted only when its eigen-residuals pass;
+:func:`perron_pair` is the one-row case of the private stacked kernel
+``_perron_rows``, which does the same for a stack of matrices with one
+``eig`` and which ``solvers.build_polytope`` calls once per polytope), the
 classical product bounds on the spectral radius of diagonally scaled
 matrices, supporting hyperplanes of the log-convex level set
 ``log rho(diag(exp(xi)) B) <= 0``, and two-sided diagonal scalings with
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,6 +229,7 @@ def perron_pair(A) -> PerronPair:
     is the Rayleigh quotient ``y.Ax / y.x``. The pair is returned only when
     both vectors are entrywise positive and both eigen-residuals (vectors
     scaled to unit max entry) are at most ``1e-12 * max(1, max row sum)``.
+    This is the one-row case of the stacked kernel :func:`_perron_rows`.
 
     Raises
     ------
@@ -239,23 +244,65 @@ def perron_pair(A) -> PerronPair:
             "matrix is reducible; Perron pair requires a strongly connected "
             "positivity pattern"
         )
-    values, V = np.linalg.eig(A)
-    k = int(np.argmax(values.real))
-    x = np.abs(V[:, k].real)
-    y = np.abs(np.linalg.solve(V.T, np.eye(len(values))[k]).real)
-    x /= x.max()
-    y /= y.max()
-    Ax = A @ x
-    rho = float((y @ Ax) / (y @ x))
-    res = float(max(np.max(np.abs(Ax - rho * x)), np.max(np.abs(A.T @ y - rho * y))))
-    if not (res <= 1e-12 * max(1.0, float(np.max(A.sum(axis=1))))
-            and np.all(x > 0) and np.all(y > 0)):
+    rows = _perron_rows(A[None])
+    x, y, res = rows.right[0], rows.left[0], float(rows.residual[0])
+    if not rows.certified[0]:
         raise ConvergenceError(
             f"Perron pair failed its certificate (residual {res:.3e}, "
             f"min entries {x.min():.3e}, {y.min():.3e})",
             residual=res,
         )
-    return PerronPair(rho=rho, right=x, left=y / float(x @ y))
+    return PerronPair(rho=float(rows.rho[0]), right=x, left=y / float(x @ y))
+
+
+class _PerronRows(NamedTuple):
+    """Outcome of :func:`_perron_rows`, one entry or row per matrix."""
+
+    rho: np.ndarray  # (H,) Rayleigh quotients y.Ax / y.x
+    right: np.ndarray  # (H, n) right vectors, unit max entry
+    left: np.ndarray  # (H, n) left vectors, unit max entry
+    residual: np.ndarray  # (H,) the larger eigen-residual
+    certified: np.ndarray  # (H,) both vectors positive, residual in tolerance
+
+
+def _perron_rows(A) -> _PerronRows:
+    """:func:`perron_pair`'s eigensolve and certificate for every matrix of a
+    stack ``A`` of shape ``(H, n, n)``, unchecked: no irreducibility test,
+    and a failed certificate is a ``False`` in ``certified``, not an error.
+
+    One stacked ``eig`` and one stacked solve for the left vectors. Every
+    product is a stack of matrix-vector products and every dot a stack of
+    ``(1, n) @ (n, 1)`` products, which keep the summation order of the
+    one-matrix calls, so each row is bitwise equal to the same computation
+    on that matrix alone.
+    """
+    values, V = np.linalg.eig(A)
+    H, n = values.shape
+    k = np.argmax(values.real, axis=1)
+    x = np.abs(V[np.arange(H), :, k].real)
+    # A stack comes back complex as soon as one of its matrices has a complex
+    # spectrum, while one matrix with a real spectrum comes back real, and
+    # its left vector is then solved in real arithmetic. Solve such rows in
+    # real arithmetic here too; the complex solve differs in the last bits.
+    Vt = np.swapaxes(V, 1, 2)
+    e = np.eye(n)[k][:, :, None]
+    real = np.all(values.imag == 0, axis=1)
+    y = np.empty((H, n))
+    y[real] = np.abs(np.linalg.solve(Vt[real].real, e[real])[:, :, 0])
+    y[~real] = np.abs(np.linalg.solve(Vt[~real], e[~real])[:, :, 0].real)
+    x /= x.max(axis=1, keepdims=True)
+    y /= y.max(axis=1, keepdims=True)
+    Ax = (A @ x[:, :, None])[:, :, 0]
+    Aty = (np.swapaxes(A, 1, 2) @ y[:, :, None])[:, :, 0]
+    yt = y[:, None, :]
+    rho = (yt @ Ax[:, :, None])[:, 0, 0] / (yt @ x[:, :, None])[:, 0, 0]
+    residual = np.maximum(
+        np.max(np.abs(Ax - rho[:, None] * x), axis=1),
+        np.max(np.abs(Aty - rho[:, None] * y), axis=1),
+    )
+    tol = 1e-12 * np.maximum(1.0, np.max(A.sum(axis=2), axis=1))
+    certified = (residual <= tol) & np.all(x > 0, axis=1) & np.all(y > 0, axis=1)
+    return _PerronRows(rho, x, y, residual, certified)
 
 
 def fk_scaling_lower_bound(A, gamma) -> float:

@@ -315,3 +315,61 @@ def test_invalid_solve_flag_exits_1(e1_file, capsys, flag, value):
                 flag, value])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+def _solver_scenario(tmp_path, solver):
+    raw = json.loads(open(E1_PATH).read())
+    raw["solver"] = solver
+    path = tmp_path / "solver_block.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("K, code", [("709", 0), ("710", 1), ("1000", 1)])
+def test_polytope_K_flag_past_exp_overflow_exits_1(tmp_path, capsys, K, code):
+    path = _gen(tmp_path, 3, 1, (0.02, 0.3))
+    capsys.readouterr()
+    assert run(["solve", "--scenario", path, "--algorithm", "linearized",
+                "--polytope-K", K]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: K must be at most ")
+        assert err.endswith(f"got {float(K)!r}\n")
+    else:
+        assert err == ""
+
+
+def test_polytope_K_in_scenario_past_exp_overflow_exits_1(tmp_path, capsys):
+    path = _solver_scenario(tmp_path, {"algorithm": "linearized", "polytope_K": 1000})
+    assert run(["solve", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: K must be at most ") and err.endswith("got 1000.0\n")
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    path = _solver_scenario(tmp_path, {"algorithm": "gradient", "seed": 7,
+                                       "multistart": 4})
+    calls = [
+        ["solve", "--scenario", path, "--algorithm", "newton"],
+        ["--help"],
+        ["solve", "--scenario", path, "--seed", "3"],
+        ["solve", "--scenario", path],
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cli._build_parser.cache_clear()
+    reused = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1  # one parser, four calls
+    assert reused == outcomes(fresh=True)
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+    assert json.loads(reused[2][1])["seed"] == 3
+    assert json.loads(reused[3][1])["seed"] == 7  # the scenario's, not the last flag

@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sumrate as sr
+from sumrate.exceptions import ConvergenceError
 from conftest import log_sir_grid_best, random_instance
 
 LOG6 = math.log(6.0)
+BANDS = [(1e-6, 1e-5), (1e-4, 1e-3), (1e-2, 1e-1), (0.1, 1.0), (0.5, 2.0)]
 
 
 class TestKktClassify:
@@ -130,6 +132,102 @@ class TestPolytope:
     def test_grid_minimum(self, e1):
         with pytest.raises(ValueError, match="at least 2"):
             sr.build_polytope(e1, grid=1)
+
+    def test_K_past_exp_overflow_rejected(self, e1):
+        assert sr.build_polytope(e1, K=709.0, grid=2).K == 709.0
+        for K in (710.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="K must be at most"):
+                sr.build_polytope(e1, K=K, grid=2)
+
+
+def _per_anchor_hyperplanes(inst, grid):
+    """``build_polytope``'s hyperplanes (default K) by one
+    ``supporting_hyperplane`` call per anchor and capped user, in order."""
+    der = sr.derive_matrices(inst)
+    n = inst.users
+    K = math.log(der.max_radius) + 10.0
+    floor = np.linalg.solve(math.exp(K) * np.eye(n) - der.F, der.v)
+    axes = []
+    for i in range(n):
+        vals = [(j * floor[i] + (grid - j) * inst.caps[i]) / grid for j in range(grid)]
+        vals[0] = inst.caps[i]
+        axes.append(vals)
+    hyperplanes = []
+    for jtuple in itertools.product(range(grid), repeat=n):
+        if min(jtuple) != 0:
+            continue
+        p = np.array([axes[i][j] for i, j in enumerate(jtuple)])
+        zeta = np.log(sr.sir_of_power(inst, p))
+        for l, j in enumerate(jtuple):
+            if j == 0:
+                hyperplanes.append(sr.supporting_hyperplane(der.B[l], zeta))
+    return hyperplanes
+
+
+def _assert_same_hyperplanes(poly, reference):
+    assert len(poly.hyperplanes) == len(reference)
+    for h, g in zip(poly.hyperplanes, reference):
+        assert h.normal.tobytes() == g.normal.tobytes()
+        assert h.anchor.tobytes() == g.anchor.tobytes()
+
+
+class TestStackedPolytope:
+    @pytest.mark.parametrize("cross", BANDS)
+    @pytest.mark.parametrize("users", [2, 3, 4])
+    def test_byte_equal_to_per_anchor_hyperplanes(self, users, cross):
+        for seed in range(3):
+            sc = sr.generate_instance(users, seed=seed, cross_range=cross)
+            inst = sc.to_instance()
+            for grid in (2, 3, 4):
+                poly = sr.build_polytope(inst, grid=grid)
+                _assert_same_hyperplanes(poly, _per_anchor_hyperplanes(inst, grid))
+
+    @pytest.mark.parametrize("cross", [1e-323, 1e-300])
+    def test_underflowing_scaled_matrices_fail_as_per_anchor(self, cross):
+        # entries of diag(exp(zeta)) B[l] round to zero or to subnormals
+        inst = sr.ChannelInstance(gains=[[1.0, cross], [cross, 1.0]],
+                                  noise=[1.0, 1.0], caps=[0.1, 0.1],
+                                  weights=[0.5, 0.5])
+        with pytest.raises(sr.SumrateError) as per_anchor:
+            _per_anchor_hyperplanes(inst, 3)
+        with pytest.raises(type(per_anchor.value)) as stacked:
+            sr.build_polytope(inst, grid=3)
+        assert str(stacked.value) == str(per_anchor.value)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        kernel = sr.spectral._perron_rows
+
+        def failing(A):
+            rows = kernel(A)
+            return rows._replace(certified=np.zeros_like(rows.certified))
+
+        monkeypatch.setattr(sr.spectral, "_perron_rows", failing)
+        with pytest.raises(ConvergenceError, match="certificate"):
+            sr.build_polytope(random_instance(3, users=3), grid=2)
+
+    def test_row_rejected_by_the_stack_is_redone_alone(self, monkeypatch):
+        inst = random_instance(4, users=3)
+        kernel = sr.spectral._perron_rows
+        hyperplane = sr.spectral.supporting_hyperplane
+        redone = []
+
+        def reject_row_5(A):  # in the stack only, not in a one-row call
+            rows = kernel(A)
+            if len(A) > 1:
+                rows.certified[5] = False
+            return rows
+
+        def recording(B, eta):
+            redone.append(eta)
+            return hyperplane(B, eta)
+
+        monkeypatch.setattr(sr.spectral, "_perron_rows", reject_row_5)
+        monkeypatch.setattr(sr.spectral, "supporting_hyperplane", recording)
+        poly = sr.build_polytope(inst, grid=3)
+        assert len(redone) == 1
+        assert redone[0].tobytes() == poly.hyperplanes[5].anchor.tobytes()
+        monkeypatch.undo()
+        _assert_same_hyperplanes(poly, _per_anchor_hyperplanes(inst, 3))
 
 
 class TestLpSolve:

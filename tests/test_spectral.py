@@ -165,6 +165,49 @@ class TestPerronPair:
         _assert_residuals_and_radius(A, sr.perron_pair(A))
 
 
+def _one_matrix_perron(A):
+    """``(rho, right, left)`` of a single matrix by one ``eig`` and 1-D
+    products, both vectors at unit max entry: the arithmetic every row of
+    the stacked kernel must reproduce bit for bit."""
+    values, V = np.linalg.eig(A)
+    k = int(np.argmax(values.real))
+    x = np.abs(V[:, k].real)
+    y = np.abs(np.linalg.solve(V.T, np.eye(len(values))[k]).real)
+    x /= x.max()
+    y /= y.max()
+    return float((y @ (A @ x)) / (y @ x)), x, y
+
+
+class TestPerronRows:
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_rows_byte_equal_to_one_matrix_pairs(self, n):
+        rng = np.random.default_rng(2500 + n)
+        A = np.array([random_irreducible(rng, n) for _ in range(32)])
+        A[::2] += np.swapaxes(A[::2], 1, 2)  # symmetric: a real spectrum
+        real = np.all(np.linalg.eigvals(A).imag == 0, axis=1)
+        assert real.any() and not real.all()  # so the stacked eig is complex
+        rows = sr.spectral._perron_rows(A)
+        assert rows.certified.all()
+        for i, A_i in enumerate(A):
+            pair = sr.perron_pair(A_i)
+            rho, x, y = _one_matrix_perron(A_i)
+            assert rows.rho[i] == pair.rho == rho
+            assert rows.right[i].tobytes() == pair.right.tobytes() == x.tobytes()
+            assert rows.left[i].tobytes() == y.tobytes()
+            assert (y / float(x @ y)).tobytes() == pair.left.tobytes()
+
+    def test_failed_certificates_are_flagged_not_raised(self):
+        rng = np.random.default_rng(25)
+        # irreducible, but the right vector's last two entries round to zero
+        weak = np.array([[3.0, 1.0, 1.0], [1e-200, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        A = np.array([random_irreducible(rng, 3), weak, random_irreducible(rng, 3)])
+        rows = sr.spectral._perron_rows(A)
+        assert rows.certified.tolist() == [True, False, True]
+        with pytest.raises(ConvergenceError) as failure:
+            sr.perron_pair(weak)
+        assert failure.value.residual == rows.residual[1]
+
+
 def _recording(calls, name, fn):
     def wrapper(A):
         calls.append(name)
