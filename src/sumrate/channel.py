@@ -13,6 +13,7 @@ and never reappears downstream. From the effective gains we build
   matrix),
 * ``B[l] = F + outer(v, e_l) / cap_l``: per-user constraint matrices whose
   scaled radii characterize the image of the cap box under the SIR map,
+  stacked as one ``(L, L, L)`` array built on first use,
 * ``gamma_bar = caps / v``: componentwise SIR ceiling,
 * ``radii``: the constraint radii ``rho(B[l])``, computed on first use and
   cached with the rest. Every ``B[l]`` is a rank-one update of ``F``, so all
@@ -104,8 +105,17 @@ class DerivedMatrices:
     v: np.ndarray
     caps: np.ndarray
     F_tilde: np.ndarray
-    B: tuple
     gamma_bar: np.ndarray
+
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        """Constraint matrices ``B[l] = F + outer(v, e_l) / cap_l``, one per
+        user, as a read-only ``(L, L, L)`` stack built on first use."""
+        users = np.arange(self.v.shape[0])
+        B = np.repeat(self.F[None], users.size, 0)
+        B[users, :, users] += self.v / self.caps[:, None]
+        B.setflags(write=False)
+        return B
 
     @functools.cached_property
     def radii(self) -> np.ndarray:
@@ -137,17 +147,11 @@ def derive_matrices(inst: ChannelInstance) -> DerivedMatrices:
     F = inst.gains / direct[:, None]
     np.fill_diagonal(F, 0.0)
     v = inst.noise / direct
-    B = []
-    for l, cap in enumerate(inst.caps):
-        B_l = F.copy()
-        B_l[:, l] += v / cap
-        B.append(_frozen(B_l))
     derived = DerivedMatrices(
         F=_frozen(F),
         v=_frozen(v),
         caps=inst.caps,
         F_tilde=_frozen(F + np.diag(v / inst.caps)),
-        B=tuple(B),
         gamma_bar=_frozen(inst.caps / v),
     )
     _DERIVED_CACHE[inst] = derived
@@ -162,9 +166,8 @@ def sir_of_power(inst: ChannelInstance, p) -> np.ndarray:
     ``p`` and ``diag(sir) F`` has zero rows off it, so
     ``rho(diag(sir) F) < 1`` by the Collatz-Wielandt bound.
     """
-    der = derive_matrices(inst)
     p = _checked(p, (inst.users,), "p", positive=False)
-    return p / (der.F @ p + der.v)
+    return _sir_rows(derive_matrices(inst), p[None])[0]
 
 
 def power_of_sir(inst: ChannelInstance, gamma) -> np.ndarray:

@@ -22,7 +22,6 @@ from .exceptions import (
 
 DEFAULT_MULTISTART = 16
 DEFAULT_SEED = 0
-DEFAULT_GRID = 4
 
 
 @functools.cache
@@ -44,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="oracle grid resolution for --oracle-check")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--multistart", type=int, default=None)
-    solve.add_argument("--polytope-grid", type=int, default=None)
-    solve.add_argument("--polytope-K", type=float, default=None)
     solve.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="sandwich bounds on the optimum")
@@ -125,12 +122,11 @@ def _solver_report_dict(sc, inst, algorithm, rep, *, seed=None, multistart=None)
 def _cmd_solve(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     inst = sc.to_instance()
-    opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART,
-            "polytope_grid": DEFAULT_GRID, "polytope_K": None, **sc.solver}
-    for key in ("seed", "multistart", "polytope_grid", "polytope_K"):
+    opts = {"seed": DEFAULT_SEED, "multistart": DEFAULT_MULTISTART, **sc.solver}
+    for key in ("seed", "multistart"):
         value = getattr(args, key)
         if value is not None:
-            scenario.check_solver_option(key, value, "--" + key.replace("_", "-"))
+            scenario.check_solver_option(key, value, "--" + key)
             opts[key] = value
     algorithm = args.algorithm or opts.get("algorithm")
     if algorithm is None:
@@ -139,14 +135,12 @@ def _cmd_solve(args) -> int:
             f"{', '.join(scenario.ALGORITHMS)}"
         )
     seed, multistart = opts["seed"], opts["multistart"]
-    grid, poly_K = opts["polytope_grid"], opts["polytope_K"]
     if algorithm == "gradient":
         rep = solvers.solve_gradient_multistart(inst, starts=multistart, seed=seed)
         doc = _solver_report_dict(sc, inst, "gradient", rep, seed=seed,
                                   multistart=multistart)
     elif algorithm == "linearized":
-        poly = solvers.build_polytope(inst, K=poly_K, grid=grid)
-        rep = solvers.solve_linearized(inst, poly)
+        rep = solvers.solve_linearized(inst)
         doc = _solver_report_dict(sc, inst, "linearized", rep)
     else:
         rep = solvers.solve_lp_relax(inst)
@@ -250,6 +244,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    scenario.check_solver_option("seed", args.seed, "--seed")
     sc = scenario.generate_instance(
         args.users,
         seed=args.seed,

@@ -15,8 +15,7 @@ Scenario schema (JSON object, version 1)::
       "snr_gap": number >= 1,                 # optional, default 1
       "solver": {                             # optional, every key optional
         "algorithm": "gradient" | "linearized" | "lp",
-        "seed": <int >= 0>, "multistart": <int >= 1>,
-        "polytope_grid": <int >= 2>, "polytope_K": <finite number> | null
+        "seed": <int >= 0>, "multistart": <int >= 1>
       }
     }
 
@@ -66,19 +65,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 # solver key -> (valid value test, constraint named in the error)
 _SOLVER_RULES = {
     "algorithm": (lambda x: x in ALGORITHMS, f"must be one of {', '.join(ALGORITHMS)}"),
     "seed": (lambda x: _is_int(x) and x >= 0, "must be an integer >= 0"),
     "multistart": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
-    "polytope_grid": (lambda x: _is_int(x) and x >= 2, "must be an integer >= 2"),
-    "polytope_K": (
-        lambda x: x is None or _is_finite_number(x), "must be a finite number or null"
-    ),
 }
 _SOLVER_KEYS = tuple(_SOLVER_RULES)
 
@@ -186,7 +177,8 @@ def _numeric_array(raw, fieldname, shape, *, tone_axis=False):
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{fieldname}: must be an array of numbers") from None
+        kind = "a number" if shape == () else "an array of numbers"
+        raise ScenarioError(f"{fieldname}: must be {kind}") from None
     if tone_axis and arr.ndim == len(shape) + 1 and arr.shape[0] == 1:
         arr = arr[0]
     _require(arr.shape == shape, fieldname, f"must have shape {shape}, got {arr.shape}")
@@ -354,15 +346,20 @@ def generate_instance(
 
 def verify_report(scenario: Scenario, report: dict) -> None:
     """Recompute the stored objective and constraint radii from the stored
-    power and require agreement within ``VERIFY_TOL``. Raises ScenarioError on
-    mismatch; reports are self-verifying by construction."""
+    power and require agreement within ``VERIFY_TOL``. Raises ScenarioError,
+    naming the field, on a missing or malformed field and on mismatch;
+    reports are self-verifying by construction."""
     inst = scenario.to_instance()
-    if "power" not in report:
-        raise ScenarioError("report: missing power field")
-    power = np.asarray(report["power"], dtype=float)
+
+    def numbers(key, shape):
+        _require(key in report, "report", f"missing {key} field")
+        return _numeric_array(report[key], f"report.{key}", shape)
+
+    power = numbers("power", (inst.users,))
+    _require(bool(np.all(power >= 0)), "report.power", "must be nonnegative")
     sir = channel.sir_of_power(inst, power)
     objective = channel.objective(inst.weights, sir)
-    stored = float(report["objective_nats"])
+    stored = float(numbers("objective_nats", ()))
     if abs(objective - stored) > VERIFY_TOL:
         raise ScenarioError(
             f"report: stored objective {stored!r} deviates from recomputation "
@@ -370,8 +367,5 @@ def verify_report(scenario: Scenario, report: dict) -> None:
         )
     if "radii" in report:
         radii = channel.in_achievable_region(inst, sir).radii
-        stored_radii = np.asarray(report["radii"], dtype=float)
-        if stored_radii.shape != radii.shape or np.any(
-            np.abs(stored_radii - radii) > VERIFY_TOL
-        ):
+        if np.any(np.abs(numbers("radii", radii.shape) - radii) > VERIFY_TOL):
             raise ScenarioError("report: stored constraint radii deviate")

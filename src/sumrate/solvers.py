@@ -165,10 +165,6 @@ def _report(inst, power, *, iterations, termination, lp_bound=None) -> SolverRep
     )
 
 
-def _phi(inst, p) -> float:
-    return channel.objective(inst.weights, channel.sir_of_power(inst, p))
-
-
 def _snap(p, caps):
     """Snap near-boundary coordinates exactly onto the boundary."""
     eps = 1e-12 * np.maximum(1.0, caps)
@@ -429,7 +425,7 @@ def build_polytope(inst: channel.ChannelInstance, K=None, grid=4) -> Polytope:
     zeta = np.log(channel._sir_rows(der, np.array(axes)[np.arange(n), index]))
     anchor, user = np.nonzero(index == 0)
     eta = zeta[anchor]
-    B = np.array(der.B)[user]
+    B = der.B[user]
     scaled = np.exp(eta)[:, :, None] * B
     irreducible = np.array([spectral.is_irreducible(B_l) for B_l in der.B])
     regular = irreducible[user] & np.all(
@@ -515,7 +511,8 @@ def _chord_bound(inst, polytope: Polytope) -> float:
 def solve_linearized(
     inst: channel.ChannelInstance, polytope: Optional[Polytope] = None
 ) -> SolverReport:
-    """Successive linearization over the supporting-hyperplane polytope.
+    """Successive linearization over the supporting-hyperplane polytope,
+    by default ``build_polytope(inst)`` (the one ``solve`` always uses).
 
     From the current vertex, starting at the lower box corner, maximize the
     first-order model of the sum rate (an LP) to reach a strictly better
@@ -527,6 +524,7 @@ def solve_linearized(
     log-SIR region.
     """
     poly = polytope if polytope is not None else build_polytope(inst)
+    der = channel.derive_matrices(inst)
     w = inst.weights
     xi = poly.box_low
     bound = _chord_bound(inst, poly)
@@ -536,7 +534,7 @@ def solve_linearized(
 
     def consider(p_clamped):
         nonlocal best_power, best_value
-        value = _phi(inst, p_clamped)
+        value = channel._objective_rows(der, w, p_clamped[None])[0]
         if value > best_value:
             best_power, best_value = p_clamped, value
 

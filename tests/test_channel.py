@@ -67,6 +67,17 @@ class TestDeriveMatrices:
     def test_cached_per_instance(self, e1):
         assert sr.derive_matrices(e1) is sr.derive_matrices(e1)
 
+    def test_constraint_stack_built_on_first_use(self, e1):
+        der = sr.derive_matrices(e1)
+        sr.relaxed_max_tilde(e1)
+        sr.objective_bounds(e1)
+        assert "B" not in vars(der)
+        assert der.B.shape == (2, 2, 2) and not der.B.flags.writeable
+        for l in range(2):
+            B_l = der.F.copy()
+            B_l[:, l] += der.v / e1.caps[l]
+            assert np.array_equal(der.B[l], B_l)
+
 
 class TestSirPowerMaps:
     def test_zero_power(self, e1):

@@ -81,3 +81,28 @@ def test_scenario_kkt_tol_is_an_unknown_key(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert cli.main(["solve", "--scenario", str(path), "--algorithm", "gradient"]) == 1
     assert capsys.readouterr().err == "error: solver: unknown keys ['kkt_tol']\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--polytope-grid", "4"), ("--polytope-K", "12"),
+                    ("--polytope-K", "1000")],
+)
+def test_retired_polytope_flags_are_unrecognized(capsys, flag, value):
+    # linearized always builds the default polytope: grid 4, K = log R + 10
+    code = cli.main(["solve", "--scenario", f"{DATA}/e1.json",
+                     "--algorithm", "linearized", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"sumrate: error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("polytope_grid", 4), ("polytope_K", None), ("polytope_K", 1000)]
+)
+def test_scenario_polytope_keys_are_unknown_keys(tmp_path, capsys, key, value):
+    raw = json.loads(open(f"{DATA}/e1.json").read())
+    raw["solver"] = {"algorithm": "linearized", key: value}
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["solve", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: solver: unknown keys ['{key}']\n"

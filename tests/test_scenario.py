@@ -77,10 +77,10 @@ class TestLoading:
             ({"solver": {"seed": True}}, "solver.seed"),
             ({"solver": {"multistart": True}}, "solver.multistart"),
             ({"solver": {"multistart": 0}}, "solver.multistart"),
-            ({"solver": {"polytope_grid": 1}}, "solver.polytope_grid"),
-            ({"solver": {"polytope_grid": 3.0}}, "solver.polytope_grid"),
-            ({"solver": {"polytope_K": math.inf}}, "solver.polytope_K"),
-            ({"solver": {"polytope_K": "5"}}, "solver.polytope_K"),
+            ({"solver": {"polytope_grid": 4}}, "solver"),  # a retired key
+            ({"solver": {"polytope_K": None}}, "solver"),  # a retired key
+            ({"solver": {"multistart": 2.5}}, "solver.multistart"),
+            ({"solver": {"seed": "0"}}, "solver.seed"),
             ({"solver": {"algorithm": 5}}, "solver.algorithm"),
             ({"solver": {"algorithm": "newton"}}, "solver.algorithm"),
         ],
@@ -89,10 +89,9 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=field):
             sr.parse_scenario(e1_dict(**overrides))
 
-    @pytest.mark.parametrize("polytope_K", [None, 5, 12.5])
-    def test_valid_solver_block_kept(self, polytope_K):
-        solver = {"algorithm": "lp", "seed": 0, "multistart": 1,
-                  "polytope_grid": 2, "polytope_K": polytope_K}
+    @pytest.mark.parametrize("algorithm", sr.scenario.ALGORITHMS)
+    def test_valid_solver_block_kept(self, algorithm):
+        solver = {"algorithm": algorithm, "seed": 0, "multistart": 1}
         assert sr.parse_scenario(e1_dict(solver=solver)).solver == solver
 
     def test_missing_file(self, tmp_path):
@@ -251,3 +250,18 @@ class TestVerifyReport:
         doc = {"power": [1.0, 1.0], "objective_nats": 1.0}
         with pytest.raises(ScenarioError, match="objective"):
             sr.verify_report(sc, doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"power": [1.0, 1.0]}, "report: missing objective_nats"),
+            ({"power": [1.0, 1.0, 1.0], "objective_nats": 1.0}, "report.power"),
+            ({"power": [1.0, 1.0], "objective_nats": "high"},
+             "report.objective_nats"),
+            ({"power": [1.0, 1.0], "objective_nats": 1.791759469228055,
+              "radii": [0.5, "x"]}, "report.radii"),
+        ],
+    )
+    def test_malformed_report_names_the_field(self, doc, field):
+        with pytest.raises(ScenarioError, match=field):
+            sr.verify_report(sr.load_scenario(E1_PATH), doc)
