@@ -84,8 +84,10 @@ def test_scenario_kkt_tol_is_an_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--polytope-grid", "4"), ("--polytope-K", "12"),
-                    ("--polytope-K", "1000")],
+    "flag, value",
+    [("--polytope-grid", "4"), ("--polytope-K", "12"), ("--polytope-K", "709"),
+     ("--polytope-K", "710"), ("--polytope-K", "1000"), ("--polytope-K", "1e400"),
+     ("--polytope-K", "nan")],
 )
 def test_retired_polytope_flags_are_unrecognized(capsys, flag, value):
     # linearized always builds the default polytope: grid 4, K = log R + 10
